@@ -12,8 +12,7 @@ independent placement oracle.
 from .analysis import (PoincareHopfReport, Singularity, angle_defects,
                        edge_angles, extract_singularities,
                        poincare_hopf_check, singularities_to_json,
-                       triangle_winding, triangle_windings, vertex_windings,
-                       winding_total)
+                       triangle_windings, vertex_windings, winding_total)
 from .audit import IndexAudit, IrregularVertex, audit, regular_mesh_feasible
 from .fekete import (DEFAULT_SQUARE_HEIGHT, PointConfiguration,
                      align_point_sets, fekete_optimize,
@@ -27,8 +26,7 @@ from .mesh import (InvalidMeshError, MeshLoadError, QuadMesh, SurfaceMesh,
 from .solver import (CR_GRADIENTS, TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS,
                      ConvergenceLog, Discretization, EnergyBreakdown,
                      FieldSolution, NewtonOptions, constraint_dofs, cr_shapes,
-                     element_newton, gl_energy, gl_residual, laplacian_init,
-                     newton_solve)
+                     gl_energy, gl_residual, newton_solve)
 from .vtk import write_field_vtk
 
 __version__ = "0.1.0"
@@ -63,12 +61,10 @@ __all__ = [
     "constraint_dofs",
     "cr_shapes",
     "edge_angles",
-    "element_newton",
     "extract_singularities",
     "fekete_optimize",
     "gl_energy",
     "gl_residual",
-    "laplacian_init",
     "load_mesh",
     "log_interaction_energy",
     "mean_edge_length",
@@ -80,7 +76,6 @@ __all__ = [
     "tilt_sweep",
     "topology_report",
     "triangle_frames",
-    "triangle_winding",
     "triangle_windings",
     "two_square_configuration",
     "vertex_windings",

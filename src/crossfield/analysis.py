@@ -27,8 +27,8 @@ __all__ = [
     "Singularity",
     "PoincareHopfReport",
     "edge_angles",
-    "triangle_winding",
     "triangle_windings",
+    "angle_defects",
     "vertex_windings",
     "winding_total",
     "extract_singularities",
@@ -137,12 +137,6 @@ def triangle_windings(mesh, tri_frames, field):
     norms = field.norms()
     flagged = (norms[mesh.facet_edges] < NORM_FLOOR).any(axis=1)
     return winding, flagged
-
-
-def triangle_winding(mesh, tri_frames, field, triangle):
-    """Winding of a single triangle (see ``triangle_windings``)."""
-    winding, _ = triangle_windings(mesh, tri_frames, field)
-    return int(winding[triangle])
 
 
 def angle_defects(mesh):
@@ -269,22 +263,20 @@ def extract_singularities(mesh, tri_frames, field):
             flagged=False,
         ))
 
-    vertex_tris = {}
-    for i in range(3):
-        for t, v in zip(range(mesh.n_triangles), mesh.triangles[:, i]):
-            cur = vertex_tris.get(int(v))
-            if cur is None or t < cur:
-                vertex_tris[int(v)] = t
+    first_tri = np.full(mesh.n_vertices, mesh.n_triangles)
+    np.minimum.at(first_tri, mesh.triangles,
+                  np.arange(mesh.n_triangles)[:, None])
     for v in np.flatnonzero(w_vert != 0):
         v = int(v)
+        t = int(first_tri[v])
         incident = np.flatnonzero((mesh.edges == v).any(axis=1))
         out.append(Singularity(
-            triangle=vertex_tris[v],
+            triangle=t,
             position=mesh.vertices[v],
             index=Fraction(int(w_vert[v]), field.order),
             local_min_norm=float(norms[incident].min()),
             vertex=v,
-            cluster=(vertex_tris[v],),
+            cluster=(t,),
             flagged=bool((norms[incident] < NORM_FLOOR).any()),
         ))
 

@@ -28,6 +28,7 @@ __all__ = [
     "TopologyReport",
     "load_mesh",
     "topology_report",
+    "boundary_loops",
     "mean_edge_length",
 ]
 
@@ -113,6 +114,10 @@ class _FacetMesh:
         facets = np.ascontiguousarray(np.asarray(facets, dtype=np.int64))
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise InvalidMeshError("vertices must be an (n, 3) array")
+        bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+        if len(bad):
+            raise InvalidMeshError(
+                f"vertices {bad[:5].tolist()} have non-finite coordinates")
         if facets.ndim != 2:
             raise InvalidMeshError(f"{facet_name} must be a 2-d index array")
         if len(facets) == 0:
@@ -449,7 +454,15 @@ def _read_obj(path):
 
 
 def _read_msh(path):
-    lines = path.read_text().splitlines()
+    try:
+        return _parse_msh(path, path.read_text().splitlines())
+    except MeshLoadError:
+        raise
+    except (IndexError, KeyError, ValueError) as exc:
+        raise MeshLoadError(f"{path}: malformed MSH file ({exc!r})") from exc
+
+
+def _parse_msh(path, lines):
     i = 0
     nodes = {}
     faces = []

@@ -24,22 +24,12 @@ the energy.  Each step solves a symmetric sparse system; convergence is
 declared on the 2-norm of the exact energy gradient, never on the
 linearised residual, so a converged field is a genuine stationary point
 of the functional.
-
-``element_newton`` exposes a different, self-contained linearisation whose
-matrix consists of the plain stiffness blocks plus ``(3/eps^2) * Fi^2``
-mass terms on the diagonal and ``(2/eps^2) * F1*F2`` couplings, with the
-right-hand side chosen so that its fixed points are exactly the stationary
-points of the energy.  That pairing keeps every matrix positive
-semi-definite, which makes it a convenient building block, but as a
-fixed-point iteration it damps the phase error of a near-unit field only
-through the vanishing mesh-scale term, so the driver uses the true second
-derivative instead.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -62,8 +52,6 @@ __all__ = [
     "EnergyBreakdown",
     "Discretization",
     "constraint_dofs",
-    "laplacian_init",
-    "element_newton",
     "newton_solve",
     "gl_energy",
     "gl_residual",
@@ -176,7 +164,8 @@ class Discretization:
     Builds the per-triangle 2-d charts, constant shape-function gradients,
     stiffness blocks, transport rotations, and the scatter indices used to
     assemble global systems over the ``2 * n_edges`` unknowns laid out as
-    ``[all f1, all f2]``.
+    ``[all f1, all f2]``.  Energy, gradient and Hessian all evaluate the
+    field at the quadrature points through one kernel, ``_quadrature``.
     """
 
     def __init__(self, mesh: SurfaceMesh, edge_frames: EdgeFrames, order: int = 4):
@@ -202,9 +191,9 @@ class Discretization:
         inv_t[:, 0, 0] = q2y / det
         inv_t[:, 1, 0] = -q2x / det
         inv_t[:, 1, 1] = q1x / det
-        self.gradients = np.einsum("tab,mb->tma", inv_t, CR_GRADIENTS)
+        gradients = np.einsum("tab,mb->tma", inv_t, CR_GRADIENTS)
         self.stiffness_blocks = self.areas[:, None, None] * np.einsum(
-            "tma,tna->tmn", self.gradients, self.gradients)
+            "tma,tna->tmn", gradients, gradients)
 
         self.shape_table = cr_shapes(TRI_QUAD_POINTS[:, 0], TRI_QUAD_POINTS[:, 1])
 
@@ -215,14 +204,10 @@ class Discretization:
         self._rows = np.repeat(self.tri_dofs, 6, axis=1).ravel()
         self._cols = np.tile(self.tri_dofs, (1, 6)).ravel()
 
-        rot = self.tri_frames.rotation
         k0 = np.zeros((len(p), 6, 6))
         k0[:, :3, :3] = self.stiffness_blocks
         k0[:, 3:, 3:] = self.stiffness_blocks
-        k0 = np.einsum("tmi,tmn,tnj->tij", rot, k0, rot)
-        self.stiffness = coo_matrix(
-            (k0.ravel(), (self._rows, self._cols)),
-            shape=(self.n_dofs, self.n_dofs)).tocsr()
+        self.stiffness = self._matrix(k0)
 
     # -- helpers ----------------------------------------------------------
 
@@ -233,93 +218,62 @@ class Discretization:
         n_e = self.mesh.n_edges
         return np.stack([x[:n_e], x[n_e:]], axis=1)
 
-    def _common_frame(self, x, idx=slice(None)):
-        """Per-triangle 6-vectors rotated into each element's shared frame."""
-        local = x[self.tri_dofs[idx]]
-        return np.einsum("tij,tj->ti", self.tri_frames.rotation[idx], local)
-
-    def _quad_values(self, common):
+    def _quadrature(self, x, epsilon):
+        """The field ``x`` per triangle: its 6-vectors in the shared element
+        frames, ``f1`` and ``f2`` at the quadrature points, and the
+        quadrature weights ``area * w / eps^2``."""
+        common = np.einsum("tij,tj->ti", self.tri_frames.rotation,
+                           x[self.tri_dofs])
         f1 = np.einsum("tm,qm->tq", common[:, :3], self.shape_table)
         f2 = np.einsum("tm,qm->tq", common[:, 3:], self.shape_table)
-        return f1, f2
-
-    def _mass_blocks(self, aw, rho):
-        return np.einsum("tq,qm,qn->tmn", aw * rho, self.shape_table,
-                         self.shape_table)
-
-    def element_systems(self, x, epsilon, idx=slice(None)):
-        """Element matrices and right-hand sides, rotated into edge frames.
-
-        Returns ``(k, b)`` with shapes ``(T, 6, 6)`` and ``(T, 6)`` for the
-        selected triangles.  The matrix carries the stiffness blocks plus
-        penalty mass terms weighted by the previous field; the right-hand
-        side makes the fixed points of ``k f = b`` coincide with the zeros
-        of the exact energy gradient.
-        """
-        rot = self.tri_frames.rotation[idx]
-        stiff = self.stiffness_blocks[idx]
-        aw = (self.areas[idx, None] / epsilon**2) * TRI_QUAD_WEIGHTS[None, :]
-        common = self._common_frame(x, idx)
-        f1, f2 = self._quad_values(common)
-
-        kk = np.empty((len(stiff), 6, 6))
-        kk[:, :3, :3] = stiff + 3.0 * self._mass_blocks(aw, f1 * f1)
-        kk[:, 3:, 3:] = stiff + 3.0 * self._mass_blocks(aw, f2 * f2)
-        coupling = 2.0 * self._mass_blocks(aw, f1 * f2)
-        kk[:, :3, 3:] = coupling
-        kk[:, 3:, :3] = coupling
-
-        bb = np.empty((len(stiff), 6))
-        v1 = f1 * (1.0 + 2.0 * f1 * f1 + f2 * f2)
-        v2 = f2 * (1.0 + f1 * f1 + 2.0 * f2 * f2)
-        bb[:, :3] = np.einsum("tq,qm->tm", aw * v1, self.shape_table)
-        bb[:, 3:] = np.einsum("tq,qm->tm", aw * v2, self.shape_table)
-
-        k = np.einsum("tmi,tmn,tnj->tij", rot, kk, rot)
-        b = np.einsum("tmi,tm->ti", rot, bb)
-        return k, b
-
-    def hessian_systems(self, x, epsilon):
-        """Exact second-derivative element systems about the field ``x``.
-
-        The matrix is the energy Hessian (stiffness plus the pointwise
-        penalty curvature ``(|F|^2-1) I + 2 F F^T`` over ``eps^2``) and the
-        right-hand side equals ``K x`` minus the energy gradient, so one
-        assembled solve performs a full Newton step.
-        """
-        rot = self.tri_frames.rotation
-        stiff = self.stiffness_blocks
         aw = (self.areas[:, None] / epsilon**2) * TRI_QUAD_WEIGHTS[None, :]
-        common = self._common_frame(x)
-        f1, f2 = self._quad_values(common)
+        return common, f1, f2, aw
 
+    def _scatter(self, out, v1, v2):
+        """Integrate the weighted pointwise values ``v1`` (f1 rows) and
+        ``v2`` (f2 rows) against the shape functions, rotate the element
+        vectors back to edge frames and add them into ``out``."""
+        g = np.empty((len(self.areas), 6))
+        g[:, :3] = np.einsum("tq,qm->tm", v1, self.shape_table)
+        g[:, 3:] = np.einsum("tq,qm->tm", v2, self.shape_table)
+        g = np.einsum("tmi,tm->ti", self.tri_frames.rotation, g)
+        np.add.at(out, self.tri_dofs.ravel(), g.ravel())
+        return out
+
+    def _matrix(self, blocks):
+        """Rotate shared-frame 6x6 element blocks to edge frames and
+        assemble them into a global CSR matrix."""
+        rot = self.tri_frames.rotation
+        k = np.einsum("tmi,tmn,tnj->tij", rot, blocks, rot)
+        return coo_matrix((k.ravel(), (self._rows, self._cols)),
+                          shape=(self.n_dofs, self.n_dofs)).tocsr()
+
+    def newton_system(self, x, epsilon):
+        """Assembled Newton system ``(K, B)`` about the field ``x``.
+
+        ``K`` is the energy Hessian (stiffness plus the pointwise penalty
+        curvature ``(|F|^2-1) I + 2 F F^T`` over ``eps^2``) and ``B`` equals
+        ``K x`` minus the energy gradient, so one solve performs a full
+        Newton step.
+        """
+        _, f1, f2, aw = self._quadrature(x, epsilon)
+
+        def mass(rho):
+            return np.einsum("tq,qm,qn->tmn", aw * rho, self.shape_table,
+                             self.shape_table)
+
+        stiff = self.stiffness_blocks
         kk = np.empty((len(stiff), 6, 6))
-        kk[:, :3, :3] = stiff + self._mass_blocks(aw, 3.0 * f1 * f1 + f2 * f2 - 1.0)
-        kk[:, 3:, 3:] = stiff + self._mass_blocks(aw, f1 * f1 + 3.0 * f2 * f2 - 1.0)
-        coupling = 2.0 * self._mass_blocks(aw, f1 * f2)
+        kk[:, :3, :3] = stiff + mass(3.0 * f1 * f1 + f2 * f2 - 1.0)
+        kk[:, 3:, 3:] = stiff + mass(f1 * f1 + 3.0 * f2 * f2 - 1.0)
+        coupling = 2.0 * mass(f1 * f2)
         kk[:, :3, 3:] = coupling
         kk[:, 3:, :3] = coupling
 
         norm2 = f1 * f1 + f2 * f2
-        bb = np.empty((len(stiff), 6))
-        bb[:, :3] = np.einsum("tq,qm->tm", aw * 2.0 * f1 * norm2, self.shape_table)
-        bb[:, 3:] = np.einsum("tq,qm->tm", aw * 2.0 * f2 * norm2, self.shape_table)
-
-        k = np.einsum("tmi,tmn,tnj->tij", rot, kk, rot)
-        b = np.einsum("tmi,tm->ti", rot, bb)
-        return k, b
-
-    def _assemble(self, k, b):
-        matrix = coo_matrix((k.ravel(), (self._rows, self._cols)),
-                            shape=(self.n_dofs, self.n_dofs)).tocsr()
-        rhs = np.zeros(self.n_dofs)
-        np.add.at(rhs, self.tri_dofs.ravel(), b.ravel())
-        return matrix, rhs
-
-    def newton_system(self, x, epsilon):
-        """Assembled Newton system ``(K, B)``: the energy Hessian about
-        ``x`` and the right-hand side of the corresponding Newton step."""
-        return self._assemble(*self.hessian_systems(x, epsilon))
+        rhs = self._scatter(np.zeros(self.n_dofs), aw * 2.0 * f1 * norm2,
+                            aw * 2.0 * f2 * norm2)
+        return self._matrix(kk), rhs
 
     def lumped_mass(self):
         """Diagonal of the lumped mass matrix, one entry per dof (the
@@ -332,27 +286,19 @@ class Discretization:
 
     def residual(self, x, epsilon):
         """Exact gradient of the discrete energy with respect to ``x``."""
-        common = self._common_frame(x)
-        f1, f2 = self._quad_values(common)
-        aw = (self.areas[:, None] / epsilon**2) * TRI_QUAD_WEIGHTS[None, :]
+        _, f1, f2, aw = self._quadrature(x, epsilon)
         deficit = f1 * f1 + f2 * f2 - 1.0
-        g = np.empty((len(self.areas), 6))
-        g[:, :3] = np.einsum("tq,qm->tm", aw * deficit * f1, self.shape_table)
-        g[:, 3:] = np.einsum("tq,qm->tm", aw * deficit * f2, self.shape_table)
-        g = np.einsum("tmi,tm->ti", self.tri_frames.rotation, g)
-        out = self.stiffness @ x
-        np.add.at(out, self.tri_dofs.ravel(), g.ravel())
-        return out
+        return self._scatter(self.stiffness @ x, aw * deficit * f1,
+                             aw * deficit * f2)
 
     def energy(self, x, epsilon):
         """Smoothing and penalty parts of the discrete energy at ``x``."""
-        common = self._common_frame(x)
+        common, f1, f2, _ = self._quadrature(x, epsilon)
         smoothing = 0.5 * (
             np.einsum("tm,tmn,tn->", common[:, :3], self.stiffness_blocks,
                       common[:, :3])
             + np.einsum("tm,tmn,tn->", common[:, 3:], self.stiffness_blocks,
                         common[:, 3:]))
-        f1, f2 = self._quad_values(common)
         deficit = f1 * f1 + f2 * f2 - 1.0
         penalty = float(np.einsum(
             "t,q,tq->", self.areas / (4.0 * epsilon**2), TRI_QUAD_WEIGHTS,
@@ -396,59 +342,24 @@ def constraint_dofs(mesh, options=None):
     return mask, values, pinned
 
 
+def _eliminate(matrix, mask, values):
+    """Free/free block of ``matrix`` (CSC) and the constrained values'
+    contribution ``K_fc @ values_c``, which moves to the right-hand side.
+    The free rows are sliced twice so that one row copy is alive at a time,
+    which lowers the solve's peak memory."""
+    free = ~mask
+    return matrix[free][:, free].tocsc(), matrix[free][:, mask] @ values[mask]
+
+
 def _solve_constrained(matrix, rhs, mask, values):
     """Solve with constrained dofs eliminated to the right-hand side."""
     free = ~mask
     x = values.copy()
     if not free.any():
         return x
-    reduced = matrix[free][:, free].tocsc()
-    b = rhs[free] - matrix[free][:, mask] @ values[mask]
-    x[free] = spsolve(reduced, b)
+    reduced, bound = _eliminate(matrix, mask, values)
+    x[free] = spsolve(reduced, rhs[free] - bound)
     return x
-
-
-def _require_single_component(mesh):
-    count, _ = mesh.vertex_component_labels()
-    if count != 1:
-        raise InvalidMeshError(
-            f"solver requires a single connected component, found {count}")
-
-
-def laplacian_init(mesh, edge_frames, order=4, options=None):
-    """Solve the pure smoothing problem as the starting field.
-
-    Minimises the smoothing energy alone subject to the boundary/pin
-    constraints; with no penalty the field norm sags away from the
-    constrained edges.
-
-    Raises
-    ------
-    InvalidMeshError
-        If there are no constraints at all (closed surface without a pin
-        would leave the system singular).
-    """
-    options = options or NewtonOptions()
-    _require_single_component(mesh)
-    disc = Discretization(mesh, edge_frames, order)
-    mask, values, _ = constraint_dofs(mesh, options)
-    x = _solve_constrained(disc.stiffness, np.zeros(disc.n_dofs), mask, values)
-    return FieldSolution(order=order, values=disc.values_from_vector(x),
-                         epsilon=options.resolve_epsilon(mesh))
-
-
-def element_newton(mesh, edge_frames, triangle, prev, epsilon=None):
-    """Element matrix and right-hand side of one triangle, in edge frames.
-
-    Linearises about the field ``prev``; returns ``(k, b)`` where ``k`` is
-    the 6x6 matrix and ``b`` the 6-vector already rotated back into the
-    three edges' own frames.
-    """
-    epsilon = prev.epsilon if epsilon is None else float(epsilon)
-    disc = Discretization(mesh, edge_frames, prev.order)
-    idx = np.array([triangle])
-    k, b = disc.element_systems(disc.vector_from_values(prev.values), epsilon, idx)
-    return k[0], b[0]
 
 
 def _renormalized(values, floor=1e-8):
@@ -474,9 +385,8 @@ def _warm_start(disc, mask, cvalues, rounds):
     if not free.any():
         return x
 
-    reduced = splu(disc.stiffness[free][:, free].tocsc())
-    coupling = disc.stiffness[free][:, mask]
-    bound = coupling @ cvalues[mask]
+    reduced, bound = _eliminate(disc.stiffness, mask, cvalues)
+    reduced = splu(reduced)
 
     def project(vec):
         values = _renormalized(disc.values_from_vector(vec))
@@ -508,7 +418,10 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     (FieldSolution, ConvergenceLog)
     """
     options = options or NewtonOptions()
-    _require_single_component(mesh)
+    count, _ = mesh.vertex_component_labels()
+    if count != 1:
+        raise InvalidMeshError(
+            f"solver requires a single connected component, found {count}")
     epsilon = options.resolve_epsilon(mesh)
     disc = Discretization(mesh, edge_frames, order)
     mask, cvalues, _ = constraint_dofs(mesh, options)

@@ -19,7 +19,7 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def write_field_vtk(path, mesh, edge_frames, field, windings, title="direction field"):
+def write_field_vtk(path, mesh, edge_frames, field, windings):
     """Write the field to ``path`` as a legacy ASCII unstructured grid."""
     theta, defined = edge_angles(field)
     theta = np.where(defined, theta, 0.0)
@@ -35,7 +35,7 @@ def write_field_vtk(path, mesh, edge_frames, field, windings, title="direction f
 
     lines = [
         "# vtk DataFile Version 2.0",
-        title,
+        "direction field",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_pts} double",

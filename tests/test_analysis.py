@@ -6,7 +6,7 @@ import pytest
 from crossfield import (FieldSolution, SurfaceMesh, build_edge_frames,
                         edge_angles, extract_singularities,
                         poincare_hopf_check, singularities_to_json,
-                        triangle_frames, triangle_winding, triangle_windings,
+                        triangle_frames, triangle_windings,
                         vertex_windings, winding_total)
 
 import meshes
@@ -51,7 +51,7 @@ def test_constant_field_has_zero_winding():
     phi = np.arctan2(frames.e_hat[:, 1], frames.e_hat[:, 0])
     values = np.stack([np.cos(4 * -phi), np.sin(4 * -phi)], axis=1)
     field = FieldSolution(order=4, values=values, epsilon=0.1)
-    assert triangle_winding(mesh, tf, field, 0) == 0
+    assert triangle_windings(mesh, tf, field)[0][0] == 0
 
 
 def test_prescribed_common_frame_angles_give_full_turn():
@@ -63,7 +63,7 @@ def test_prescribed_common_frame_angles_give_full_turn():
     values[mesh.facet_edges[0], 0] = local[:3]
     values[mesh.facet_edges[0], 1] = local[3:]
     field = FieldSolution(order=4, values=values, epsilon=0.1)
-    assert triangle_winding(mesh, tf, field, 0) == 1
+    assert triangle_windings(mesh, tf, field)[0][0] == 1
 
 
 def synthetic_sphere_field(mesh, frames, order, roots):
@@ -121,6 +121,15 @@ def test_synthetic_field_charge_bookkeeping():
     positions /= np.linalg.norm(positions, axis=1)[:, None]
     gaps = np.linalg.norm(positions[:, None, :] - roots[None, :, :], axis=2)
     assert gaps.min(axis=1).max() < 0.08
+
+    # a vertex-seated charge is reported on its lowest-numbered triangle
+    seated = [s for s in extract_singularities(mesh, tf, field)
+              if s.vertex is not None]
+    assert len(seated) == np.count_nonzero(w_vert) > 0
+    for s in seated:
+        incident = np.flatnonzero((mesh.triangles == s.vertex).any(axis=1))
+        assert s.triangle == incident.min()
+        assert s.cluster == (s.triangle,)
 
 
 def test_windings_invariant_under_global_rotation(disk_cross):

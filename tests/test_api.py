@@ -1,0 +1,37 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import crossfield
+
+
+def test_package_exports_are_the_submodule_exports():
+    """The package re-exports every library submodule's ``__all__``; the
+    command-line module is used as ``crossfield.cli`` and stays apart."""
+    exported = set(crossfield.__all__) - {"__version__"}
+    union = set()
+    for info in pkgutil.iter_modules(crossfield.__path__):
+        if info.name == "cli":
+            continue
+        module = importlib.import_module(f"crossfield.{info.name}")
+        union |= set(getattr(module, "__all__", ()))
+    assert exported == union
+    assert len(crossfield.__all__) == len(set(crossfield.__all__))
+
+
+def test_every_exported_name_resolves():
+    for name in crossfield.__all__:
+        assert hasattr(crossfield, name), name
+
+
+@pytest.mark.parametrize("module, name", [
+    ("crossfield", "element_newton"),
+    ("crossfield", "laplacian_init"),
+    ("crossfield", "triangle_winding"),
+    ("crossfield.solver", "element_newton"),
+    ("crossfield.solver", "laplacian_init"),
+    ("crossfield.analysis", "triangle_winding"),
+])
+def test_removed_names_are_gone(module, name):
+    assert not hasattr(importlib.import_module(module), name)

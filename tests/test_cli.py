@@ -82,6 +82,39 @@ def test_topology_corrupt_file(capsys, tmp_path):
     assert "error" in err
 
 
+MSH_HEAD = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+MSH_NODES = "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
+
+
+@pytest.mark.parametrize("body", [
+    "$Nodes\n3\n1 0 0 0\n2 1 0 0\n",
+    "$Nodes\nthree\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n",
+    MSH_NODES + "$Elements\n1\n1 2 2 0 1 1 2 9\n$EndElements\n",
+], ids=["truncated-nodes", "non-integer-count", "undefined-node"])
+def test_malformed_msh_exits_2(capsys, tmp_path, body):
+    path = tmp_path / "broken.msh"
+    path.write_text(MSH_HEAD + body)
+    with pytest.raises(crossfield.MeshLoadError, match="broken.msh"):
+        crossfield.load_mesh(path)
+    for argv in (["topology", str(path)], ["solve", "--mesh", str(path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "broken.msh" in err
+
+
+def test_non_finite_coordinates_exit_2(capsys, tmp_path):
+    verts, tris = meshes.square_grid_tri(3)
+    verts[5, 1] = np.nan
+    path = tmp_path / "nan.off"
+    meshes.write_off(path, verts, tris)
+    with pytest.raises(crossfield.InvalidMeshError, match="non-finite"):
+        crossfield.load_mesh(path)
+    for argv in (["topology", str(path)], ["solve", "--mesh", str(path)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "non-finite" in err
+
+
 def test_audit_square_grid(capsys, tmp_path):
     verts, quads = meshes.square_grid_quads(6)
     path = tmp_path / "grid.off"

@@ -3,12 +3,13 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy.sparse import diags
 
 from crossfield import (CR_GRADIENTS, Discretization, FieldSolution,
                         InvalidMeshError, NewtonOptions, SurfaceMesh,
                         TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS, build_edge_frames,
-                        constraint_dofs, cr_shapes, element_newton, gl_energy,
-                        gl_residual, laplacian_init, newton_solve,
+                        constraint_dofs, cr_shapes, gl_energy, gl_residual,
+                        newton_solve,
                         extract_singularities, triangle_frames)
 
 import meshes
@@ -71,59 +72,27 @@ def test_quadrature_exact_to_degree_four():
 def test_element_stiffness_entry_on_reference_triangle():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
-    frames = build_edge_frames(mesh)
-    prev = FieldSolution(order=4, values=np.zeros((3, 2)), epsilon=0.5)
-    k, b = element_newton(mesh, frames, 0, prev)
-    assert k[0, 0] == pytest.approx(2.0, abs=1e-13)
-    assert np.abs(b).max() == 0.0
+    disc = Discretization(mesh, build_edge_frames(mesh), 4)
+    assert disc.stiffness[0, 0] == pytest.approx(2.0, abs=1e-13)
+    _, rhs = disc.newton_system(np.zeros(disc.n_dofs), 0.5)
+    assert np.abs(rhs).max() == 0.0
 
 
 def test_element_zero_field_reduces_to_stiffness():
-    """With a vanishing previous field the shared-frame element matrix is
-    the plain stiffness on both diagonal blocks with no coupling."""
+    """About the zero field the Hessian is ``K - M / eps^2``: no f1/f2
+    coupling, and the element mass matrix is exactly diagonal."""
     mesh, frames = aligned_square_case(2)
     disc = Discretization(mesh, frames, 4)
-    t = 1
-    prev = FieldSolution(order=4, values=np.zeros((mesh.n_edges, 2)), epsilon=0.3)
-    k, b = element_newton(mesh, frames, t, prev)
-    rot = disc.tri_frames.rotation[t]
-    common = rot @ k @ rot.T
-    stiff = disc.stiffness_blocks[t]
-    assert np.abs(common[:3, :3] - stiff).max() < 1e-13
-    assert np.abs(common[3:, 3:] - stiff).max() < 1e-13
-    assert np.abs(common[:3, 3:]).max() < 1e-13
-    assert np.abs(b).max() == 0.0
+    eps = 0.3
+    matrix, rhs = disc.newton_system(np.zeros(disc.n_dofs), eps)
+    expected = disc.stiffness - diags(disc.lumped_mass()) / eps**2
+    assert np.abs((matrix - expected).toarray()).max() < 1e-12 / eps**2
+    assert np.abs(rhs).max() == 0.0
 
 
 def test_element_trivial_rotation_is_identity():
     from crossfield import rotation_matrix
     assert np.array_equal(rotation_matrix([0.0, 0.0, 0.0], 4), np.eye(6))
-
-
-def test_element_matrix_symmetry():
-    mesh, frames = aligned_square_case(2)
-    rng = np.random.default_rng(1)
-    prev = FieldSolution(order=4,
-                         values=rng.normal(size=(mesh.n_edges, 2)),
-                         epsilon=0.4)
-    k, _ = element_newton(mesh, frames, 1, prev)
-    assert np.abs(k - k.T).max() < 1e-13
-
-
-def test_element_fixed_point_matches_energy_gradient():
-    """The element right-hand side satisfies b = k x - grad(E) elementwise,
-    so stationary fields are exactly the fixed points of the sweeps."""
-    verts, tris = meshes.random_planar_delaunay(25, seed=2)
-    mesh = SurfaceMesh(verts, tris)
-    frames = build_edge_frames(mesh)
-    disc = Discretization(mesh, frames, 4)
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=disc.n_dofs)
-    eps = 0.35
-    k, b = disc.element_systems(x, eps)
-    matrix, rhs = disc._assemble(k, b)
-    lhs = matrix @ x - disc.residual(x, eps)
-    assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
 
 
 def test_newton_matrix_symmetry():
@@ -206,19 +175,24 @@ def test_energy_perturbation_matches_directional_derivative():
 
 
 # -- smoothing-only start -----------------------------------------------------
+# A huge coherence length switches the penalty off, so the solve returns the
+# smoothing-only solution under the boundary or pin constraints.
+
+SMOOTHING_ONLY = NewtonOptions(epsilon=1e9, warmup_rounds=0)
+
 
 def test_laplacian_square_is_exact_constant():
     mesh, frames = aligned_square_case(8)
-    init = laplacian_init(mesh, frames, 4, NewtonOptions(epsilon=0.2))
+    field, _ = newton_solve(mesh, frames, 4, SMOOTHING_ONLY)
     exact = transported_constant(mesh, frames, 4)
-    assert np.abs(init.values - exact).max() < 1e-10
+    assert np.abs(field.values - exact).max() < 1e-10
 
 
 def test_laplacian_disk_norm_sags_inside():
     mesh = meshes.surface(meshes.disk_hex, 10)
     frames = build_edge_frames(mesh)
-    init = laplacian_init(mesh, frames, 4, NewtonOptions(epsilon=0.2))
-    norms = init.norms()
+    field, _ = newton_solve(mesh, frames, 4, SMOOTHING_ONLY)
+    norms = field.norms()
     assert norms[mesh.boundary_edge].min() > 0.9
     assert norms.min() < 0.5
 
@@ -226,8 +200,8 @@ def test_laplacian_disk_norm_sags_inside():
 def test_laplacian_closed_sphere_with_pin_is_finite():
     mesh = meshes.surface(meshes.golden_spiral_sphere, 200)
     frames = build_edge_frames(mesh)
-    init = laplacian_init(mesh, frames, 4, NewtonOptions(epsilon=0.2, rng_seed=0))
-    assert np.isfinite(init.values).all()
+    field, _ = newton_solve(mesh, frames, 4, SMOOTHING_ONLY)
+    assert np.isfinite(field.values).all()
 
 
 def test_no_constraints_raises():
@@ -274,11 +248,12 @@ def test_square_converges_immediately(square_cross):
 def test_huge_epsilon_recovers_smoothing_solution():
     mesh = meshes.surface(meshes.disk_hex, 8)
     frames = build_edge_frames(mesh)
-    options = NewtonOptions(epsilon=1e9, warmup_rounds=0)
-    init = laplacian_init(mesh, frames, 4, options)
-    field, log = newton_solve(mesh, frames, 4, options)
+    field, log = newton_solve(mesh, frames, 4, SMOOTHING_ONLY)
     assert log.converged
-    assert np.abs(field.values - init.values).max() < 1e-9
+    disc = Discretization(mesh, frames, 4)
+    mask, _, _ = constraint_dofs(mesh, SMOOTHING_ONLY)
+    x = disc.vector_from_values(field.values)
+    assert np.abs((disc.stiffness @ x)[~mask]).max() < 1e-9
 
 
 def test_convergence_log_shape(square_cross):
