@@ -19,7 +19,7 @@ from .fekete import (DEFAULT_SQUARE_HEIGHT, PointConfiguration,
                      log_interaction_energy, tilt_sweep,
                      two_square_configuration)
 from .frames import (EdgeFrames, TriangleFrames, build_edge_frames,
-                     rotation_matrix, triangle_frames)
+                     triangle_frames)
 from .mesh import (InvalidMeshError, MeshLoadError, QuadMesh, SurfaceMesh,
                    TopologyReport, boundary_loops, load_mesh,
                    mean_edge_length, topology_report)
@@ -71,7 +71,6 @@ __all__ = [
     "newton_solve",
     "poincare_hopf_check",
     "regular_mesh_feasible",
-    "rotation_matrix",
     "singularities_to_json",
     "tilt_sweep",
     "topology_report",

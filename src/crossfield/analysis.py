@@ -112,11 +112,9 @@ def _wrap(angle):
 
 def _common_frame_angles(mesh, tri_frames, field):
     """Angle of each edge's representation vector in its triangles' frames."""
-    x = np.concatenate([field.values[:, 0], field.values[:, 1]])
-    dofs = np.concatenate([mesh.facet_edges, mesh.facet_edges + mesh.n_edges],
-                          axis=1)
-    common = np.einsum("tij,tj->ti", tri_frames.rotation, x[dofs])
-    return np.arctan2(common[:, 3:], common[:, :3])
+    values = field.values[mesh.facet_edges]
+    g1, g2 = tri_frames.to_shared(values[..., 0], values[..., 1])
+    return np.arctan2(g2, g1)
 
 
 def triangle_windings(mesh, tri_frames, field):

@@ -1,4 +1,4 @@
-"""Per-edge tangent frames and per-triangle transport rotations.
+"""Per-edge tangent frames and per-triangle transport phases.
 
 Every mesh edge carries an orthonormal frame: the unit edge direction
 (ordered by ascending vertex index), the renormalised average of the
@@ -6,8 +6,8 @@ adjacent triangle normals, and their cross product.  Direction data stored
 per edge is interpolated inside a triangle after rotating all three edge
 values into one shared in-plane reference (the first edge's direction).
 For a field invariant under rotations by ``2*pi/order``, that change of
-frame only involves the offset angles times ``order``, which the 6x6 block
-rotation below encodes.
+frame only involves the offset angles times ``order``: a plane rotation
+per triangle corner, stored as its cosine and sine.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "TriangleFrames",
     "build_edge_frames",
     "triangle_frames",
-    "rotation_matrix",
 ]
 
 
@@ -39,20 +38,46 @@ class EdgeFrames:
 
 @dataclass(frozen=True)
 class TriangleFrames:
-    """In-plane frame offsets and transport rotations per triangle.
+    """In-plane frame offsets and transport phases per triangle.
 
     ``alpha[t, i]`` is the signed angle, about the triangle normal, that
     carries edge ``i``'s frame direction onto the triangle's reference
-    direction (edge 0's), with ``alpha[t, 0] == 0``.  ``rotation[t]`` is the
-    orthogonal 6x6 matrix mapping the six per-edge components
-    ``(f1_0, f1_1, f1_2, f2_0, f2_1, f2_2)`` into the shared frame; it
-    depends on ``alpha`` only through ``cos(order * alpha)`` and
-    ``sin(order * alpha)``.
+    direction (edge 0's), with ``alpha[t, 0] == 0``.  ``cos`` and ``sin``
+    hold ``cos(order * alpha)`` and ``sin(order * alpha)``, the phases that
+    move a per-edge value ``(f1, f2)`` into the shared frame; only the
+    methods below apply them.
     """
 
     order: int
     alpha: np.ndarray
-    rotation: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+    def to_shared(self, f1, f2):
+        """Per-corner edge-frame components, (T, 3) each, in the shared frame."""
+        c, s = self.cos, self.sin
+        return c * f1 + s * f2, c * f2 - s * f1
+
+    def to_edges(self, g1, g2):
+        """Transpose of ``to_shared``: shared-frame components to edge frames."""
+        c, s = self.cos, self.sin
+        return c * g1 - s * g2, s * g1 + c * g2
+
+    def blocks_to_edges(self, p, q, v):
+        """Edge-frame element matrices ``R^T [[p, q], [q, v]] R``, (T, 6, 6),
+        for shared-frame 3x3 blocks ``p`` (f1/f1), ``q`` (f1/f2 and f2/f1)
+        and ``v`` (f2/f2), with ``R`` the 6x6 form of ``to_shared`` over the
+        layout ``(f1_0, f1_1, f1_2, f2_0, f2_1, f2_2)``."""
+        # keep the term order (p, q, q, v): regrouping the sums changes the
+        # matrices in the last bits, which moves chaotic Newton solves
+        ci, si = self.cos[:, :, None], self.sin[:, :, None]
+        cj, sj = self.cos[:, None, :], self.sin[:, None, :]
+        k = np.empty((len(self.cos), 6, 6))
+        k[:, :3, :3] = ci * p * cj - ci * q * sj - si * q * cj + si * v * sj
+        k[:, :3, 3:] = ci * p * sj + ci * q * cj - si * q * sj - si * v * cj
+        k[:, 3:, :3] = si * p * cj - si * q * sj + ci * q * cj - ci * v * sj
+        k[:, 3:, 3:] = si * p * sj + si * q * cj + ci * q * sj + ci * v * cj
+        return k
 
 
 def _normalize(v, what, tol=1e-14):
@@ -98,45 +123,22 @@ def build_edge_frames(mesh):
     return EdgeFrames(e_hat=e_hat, t_hat=t_hat, n_hat=n_hat)
 
 
-def rotation_matrix(alpha, order=4):
-    """Assemble the 6x6 transport rotation from three frame-offset angles.
-
-    The first edge is the reference (its blocks are the identity); the
-    blocks of edges 1 and 2 read ``[[cos(order*a), sin(order*a)],
-    [-sin(order*a), cos(order*a)]]`` spread over the component layout
-    ``(f1_0, f1_1, f1_2, f2_0, f2_1, f2_2)``.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (3,):
-        raise ValueError("alpha must hold three angles")
-    return _rotation_matrices(alpha[None, :], order)[0]
-
-
-def _rotation_matrices(alpha, order):
-    m = len(alpha)
-    c = np.cos(order * alpha)
-    s = np.sin(order * alpha)
-    rot = np.zeros((m, 6, 6))
-    for i in range(3):
-        rot[:, i, i] = c[:, i]
-        rot[:, i, i + 3] = s[:, i]
-        rot[:, i + 3, i] = -s[:, i]
-        rot[:, i + 3, i + 3] = c[:, i]
-    return rot
-
-
 def triangle_frames(mesh, edge_frames, order=4):
-    """Compute the per-triangle frame offsets and transport rotations.
+    """Compute the per-triangle frame offsets and transport phases.
 
     Each edge frame direction is projected into the triangle plane before
     measuring its in-plane angle to the first edge's direction.
 
     Raises
     ------
+    ValueError
+        If ``order`` is below 1.
     InvalidMeshError
         If a projected edge direction nearly vanishes, which cannot happen
         for valid adjacent-triangle normals and indicates broken geometry.
     """
+    if order < 1:
+        raise ValueError(f"symmetry order must be at least 1, got {order}")
     n_tri = mesh.triangle_normals()
     e = edge_frames.e_hat[mesh.facet_edges]            # (m, 3, 3)
     proj = e - (e * n_tri[:, None, :]).sum(axis=2)[:, :, None] * n_tri[:, None, :]
@@ -153,7 +155,7 @@ def triangle_frames(mesh, edge_frames, order=4):
     cos_a = (u * ref[:, None, :]).sum(axis=2)
     alpha = np.arctan2(sin_a, cos_a)
     alpha[:, 0] = 0.0
-    rot = _rotation_matrices(alpha, order)
-    alpha.setflags(write=False)
-    rot.setflags(write=False)
-    return TriangleFrames(order=order, alpha=alpha, rotation=rot)
+    cos, sin = np.cos(order * alpha), np.sin(order * alpha)
+    for arr in (alpha, cos, sin):
+        arr.setflags(write=False)
+    return TriangleFrames(order=order, alpha=alpha, cos=cos, sin=sin)

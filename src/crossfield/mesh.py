@@ -395,6 +395,13 @@ def _strip_comment(line):
     return line.split("#", 1)[0].strip()
 
 
+def _coords(tokens):
+    """The first three tokens as floats; fewer raise ``ValueError``."""
+    if len(tokens) < 3:
+        raise ValueError("vertex record has fewer than three coordinates")
+    return tuple(float(t) for t in tokens[:3])
+
+
 def _read_off(path):
     lines = [s for s in (_strip_comment(l) for l in path.read_text().splitlines()) if s]
     if not lines:
@@ -417,7 +424,7 @@ def _read_off(path):
     if len(body) < n_v + n_f:
         raise MeshLoadError(f"{path}: truncated OFF file")
     try:
-        vertices = [tuple(float(t) for t in body[i].split()[:3]) for i in range(n_v)]
+        vertices = [_coords(body[i].split()) for i in range(n_v)]
         faces = []
         for i in range(n_v, n_v + n_f):
             tokens = body[i].split()
@@ -438,7 +445,7 @@ def _read_obj(path):
         tokens = line.split()
         if tokens[0] == "v":
             try:
-                vertices.append(tuple(float(t) for t in tokens[1:4]))
+                vertices.append(_coords(tokens[1:]))
             except ValueError as exc:
                 raise MeshLoadError(f"{path}:{lineno}: bad vertex record") from exc
         elif tokens[0] == "f":

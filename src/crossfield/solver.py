@@ -162,7 +162,7 @@ class Discretization:
     """Precomputed element geometry, transport, and assembly indices.
 
     Builds the per-triangle 2-d charts, constant shape-function gradients,
-    stiffness blocks, transport rotations, and the scatter indices used to
+    stiffness blocks, transport phases, and the scatter indices used to
     assemble global systems over the ``2 * n_edges`` unknowns laid out as
     ``[all f1, all f2]``.  Energy, gradient and Hessian all evaluate the
     field at the quadrature points through one kernel, ``_quadrature``.
@@ -203,11 +203,8 @@ class Discretization:
             [mesh.facet_edges, mesh.facet_edges + n_e], axis=1)
         self._rows = np.repeat(self.tri_dofs, 6, axis=1).ravel()
         self._cols = np.tile(self.tri_dofs, (1, 6)).ravel()
-
-        k0 = np.zeros((len(p), 6, 6))
-        k0[:, :3, :3] = self.stiffness_blocks
-        k0[:, 3:, 3:] = self.stiffness_blocks
-        self.stiffness = self._matrix(k0)
+        self.stiffness = self._matrix(self.stiffness_blocks, 0.0,
+                                      self.stiffness_blocks)
 
     # -- helpers ----------------------------------------------------------
 
@@ -219,32 +216,30 @@ class Discretization:
         return np.stack([x[:n_e], x[n_e:]], axis=1)
 
     def _quadrature(self, x, epsilon):
-        """The field ``x`` per triangle: its 6-vectors in the shared element
-        frames, ``f1`` and ``f2`` at the quadrature points, and the
-        quadrature weights ``area * w / eps^2``."""
-        common = np.einsum("tij,tj->ti", self.tri_frames.rotation,
-                           x[self.tri_dofs])
-        f1 = np.einsum("tm,qm->tq", common[:, :3], self.shape_table)
-        f2 = np.einsum("tm,qm->tq", common[:, 3:], self.shape_table)
+        """The field ``x`` per triangle: its components ``(g1, g2)`` in the
+        shared element frames, ``f1`` and ``f2`` at the quadrature points,
+        and the quadrature weights ``area * w / eps^2``."""
+        edges = self.mesh.facet_edges
+        g1, g2 = self.tri_frames.to_shared(x[edges], x[edges + self.mesh.n_edges])
+        f1 = np.einsum("tm,qm->tq", g1, self.shape_table)
+        f2 = np.einsum("tm,qm->tq", g2, self.shape_table)
         aw = (self.areas[:, None] / epsilon**2) * TRI_QUAD_WEIGHTS[None, :]
-        return common, f1, f2, aw
+        return (g1, g2), f1, f2, aw
 
     def _scatter(self, out, v1, v2):
         """Integrate the weighted pointwise values ``v1`` (f1 rows) and
         ``v2`` (f2 rows) against the shape functions, rotate the element
         vectors back to edge frames and add them into ``out``."""
-        g = np.empty((len(self.areas), 6))
-        g[:, :3] = np.einsum("tq,qm->tm", v1, self.shape_table)
-        g[:, 3:] = np.einsum("tq,qm->tm", v2, self.shape_table)
-        g = np.einsum("tmi,tm->ti", self.tri_frames.rotation, g)
-        np.add.at(out, self.tri_dofs.ravel(), g.ravel())
+        h1, h2 = self.tri_frames.to_edges(
+            np.einsum("tq,qm->tm", v1, self.shape_table),
+            np.einsum("tq,qm->tm", v2, self.shape_table))
+        np.add.at(out, self.tri_dofs, np.concatenate([h1, h2], axis=1))
         return out
 
-    def _matrix(self, blocks):
-        """Rotate shared-frame 6x6 element blocks to edge frames and
-        assemble them into a global CSR matrix."""
-        rot = self.tri_frames.rotation
-        k = np.einsum("tmi,tmn,tnj->tij", rot, blocks, rot)
+    def _matrix(self, p, q, v):
+        """Assemble the global CSR matrix of the shared-frame element
+        blocks ``[[p, q], [q, v]]`` rotated to edge frames."""
+        k = self.tri_frames.blocks_to_edges(p, q, v)
         return coo_matrix((k.ravel(), (self._rows, self._cols)),
                           shape=(self.n_dofs, self.n_dofs)).tocsr()
 
@@ -263,17 +258,12 @@ class Discretization:
                              self.shape_table)
 
         stiff = self.stiffness_blocks
-        kk = np.empty((len(stiff), 6, 6))
-        kk[:, :3, :3] = stiff + mass(3.0 * f1 * f1 + f2 * f2 - 1.0)
-        kk[:, 3:, 3:] = stiff + mass(f1 * f1 + 3.0 * f2 * f2 - 1.0)
-        coupling = 2.0 * mass(f1 * f2)
-        kk[:, :3, 3:] = coupling
-        kk[:, 3:, :3] = coupling
-
         norm2 = f1 * f1 + f2 * f2
         rhs = self._scatter(np.zeros(self.n_dofs), aw * 2.0 * f1 * norm2,
                             aw * 2.0 * f2 * norm2)
-        return self._matrix(kk), rhs
+        return self._matrix(stiff + mass(3.0 * f1 * f1 + f2 * f2 - 1.0),
+                            2.0 * mass(f1 * f2),
+                            stiff + mass(f1 * f1 + 3.0 * f2 * f2 - 1.0)), rhs
 
     def lumped_mass(self):
         """Diagonal of the lumped mass matrix, one entry per dof (the
@@ -293,12 +283,10 @@ class Discretization:
 
     def energy(self, x, epsilon):
         """Smoothing and penalty parts of the discrete energy at ``x``."""
-        common, f1, f2, _ = self._quadrature(x, epsilon)
+        (g1, g2), f1, f2, _ = self._quadrature(x, epsilon)
         smoothing = 0.5 * (
-            np.einsum("tm,tmn,tn->", common[:, :3], self.stiffness_blocks,
-                      common[:, :3])
-            + np.einsum("tm,tmn,tn->", common[:, 3:], self.stiffness_blocks,
-                        common[:, 3:]))
+            np.einsum("tm,tmn,tn->", g1, self.stiffness_blocks, g1)
+            + np.einsum("tm,tmn,tn->", g2, self.stiffness_blocks, g2))
         deficit = f1 * f1 + f2 * f2 - 1.0
         penalty = float(np.einsum(
             "t,q,tq->", self.areas / (4.0 * epsilon**2), TRI_QUAD_WEIGHTS,

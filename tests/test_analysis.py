@@ -57,11 +57,10 @@ def test_constant_field_has_zero_winding():
 def test_prescribed_common_frame_angles_give_full_turn():
     mesh, frames, tf = one_triangle_setup()
     target = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
-    common = np.concatenate([np.cos(target), np.sin(target)])
-    local = tf.rotation[0].T @ common
+    local1, local2 = tf.to_edges(np.cos(target)[None], np.sin(target)[None])
     values = np.zeros((mesh.n_edges, 2))
-    values[mesh.facet_edges[0], 0] = local[:3]
-    values[mesh.facet_edges[0], 1] = local[3:]
+    values[mesh.facet_edges[0], 0] = local1[0]
+    values[mesh.facet_edges[0], 1] = local2[0]
     field = FieldSolution(order=4, values=values, epsilon=0.1)
     assert triangle_windings(mesh, tf, field)[0][0] == 1
 

@@ -29,9 +29,11 @@ def test_every_exported_name_resolves():
     ("crossfield", "element_newton"),
     ("crossfield", "laplacian_init"),
     ("crossfield", "triangle_winding"),
+    ("crossfield", "rotation_matrix"),
     ("crossfield.solver", "element_newton"),
     ("crossfield.solver", "laplacian_init"),
     ("crossfield.analysis", "triangle_winding"),
+    ("crossfield.frames", "rotation_matrix"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)

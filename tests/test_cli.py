@@ -115,6 +115,31 @@ def test_non_finite_coordinates_exit_2(capsys, tmp_path):
         assert "non-finite" in err
 
 
+@pytest.mark.parametrize("order", [0, -4])
+def test_invalid_symmetry_exits_2(capsys, tmp_path, order):
+    verts, tris = meshes.square_grid_tri(1)
+    path = tmp_path / "square.off"
+    meshes.write_off(path, verts, tris)
+    code, _, err = run_cli(capsys, "solve", "--mesh", str(path),
+                           "--symmetry", str(order))
+    assert code == 2
+    assert "symmetry order must be at least 1" in err
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("short.off", "OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "short.off"),
+    ("short.obj", "v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", "short.obj:2"),
+], ids=["off", "obj"])
+def test_short_vertex_record_exits_2(capsys, tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(crossfield.MeshLoadError, match=where):
+        crossfield.load_mesh(path)
+    code, _, err = run_cli(capsys, "topology", str(path))
+    assert code == 2
+    assert where in err
+
+
 def test_audit_square_grid(capsys, tmp_path):
     verts, quads = meshes.square_grid_quads(6)
     path = tmp_path / "grid.off"

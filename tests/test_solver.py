@@ -90,11 +90,6 @@ def test_element_zero_field_reduces_to_stiffness():
     assert np.abs(rhs).max() == 0.0
 
 
-def test_element_trivial_rotation_is_identity():
-    from crossfield import rotation_matrix
-    assert np.array_equal(rotation_matrix([0.0, 0.0, 0.0], 4), np.eye(6))
-
-
 def test_newton_matrix_symmetry():
     verts, tris = meshes.random_planar_delaunay(30, seed=6)
     mesh = SurfaceMesh(verts, tris)
