@@ -25,8 +25,9 @@ from .mesh import (InvalidMeshError, MeshLoadError, QuadMesh, SurfaceMesh,
                    mean_edge_length, topology_report)
 from .solver import (CR_GRADIENTS, TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS,
                      ConvergenceLog, Discretization, EnergyBreakdown,
-                     FieldSolution, NewtonOptions, constraint_dofs, cr_shapes,
-                     gl_energy, gl_residual, newton_solve)
+                     FieldSolution, NewtonOptions, SingularFactorError,
+                     constraint_dofs, cr_shapes, gl_energy, gl_residual,
+                     newton_solve)
 from .vtk import write_field_vtk
 
 __version__ = "0.1.0"
@@ -47,6 +48,7 @@ __all__ = [
     "PoincareHopfReport",
     "PointConfiguration",
     "QuadMesh",
+    "SingularFactorError",
     "Singularity",
     "SurfaceMesh",
     "TRI_QUAD_POINTS",

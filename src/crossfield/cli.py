@@ -2,7 +2,8 @@
 
 Subcommands: ``topology``, ``audit``, ``solve``, ``sweep``, ``fekete``.
 Exit codes: 0 success; 2 load or flag error; 3 inconsistent audit;
-4 solver non-convergence; 5 index-sum certification failure.
+4 solver non-convergence or an exactly singular Newton system; 5 index-sum
+certification failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .fekete import DEFAULT_SQUARE_HEIGHT, fekete_optimize, tilt_sweep
 from .frames import build_edge_frames, triangle_frames
 from .mesh import (InvalidMeshError, MeshLoadError, SurfaceMesh, load_mesh,
                    mean_edge_length, topology_report)
-from .solver import NewtonOptions, constraint_dofs, gl_energy, newton_solve
+from .solver import (NewtonOptions, SingularFactorError, constraint_dofs,
+                     gl_energy, newton_solve)
 from .vtk import write_field_vtk
 
 __all__ = ["main", "run_solve"]
@@ -124,9 +126,6 @@ def _cmd_solve(args):
         except ValueError:
             print(f"error: bad --epsilon value {args.epsilon!r}", file=sys.stderr)
             return 2
-        if args.epsilon <= 0:
-            print("error: --epsilon must be positive", file=sys.stderr)
-            return 2
     code, report = run_solve(
         args.mesh, symmetry=args.symmetry, epsilon=args.epsilon, tol=args.tol,
         max_iter=args.max_iter, seed=args.seed, out_field=args.out_field,
@@ -223,6 +222,9 @@ def main(argv=None):
     except (MeshLoadError, InvalidMeshError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SingularFactorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -432,12 +432,17 @@ def _read_off(path):
             faces.append(tuple(int(t) for t in tokens[1:1 + k]))
     except (ValueError, IndexError) as exc:
         raise MeshLoadError(f"{path}: malformed OFF record") from exc
+    for k, face in enumerate(faces):
+        if any(not 0 <= i < n_v for i in face):
+            raise MeshLoadError(
+                f"{path}: face {k} references a vertex outside 0..{n_v - 1}")
     return np.array(vertices), faces
 
 
 def _read_obj(path):
     vertices = []
     faces = []
+    face_lines = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
@@ -455,8 +460,17 @@ def _read_obj(path):
                     i = int(tok.split("/")[0])
                 except ValueError as exc:
                     raise MeshLoadError(f"{path}:{lineno}: bad face record") from exc
+                if i == 0:
+                    raise MeshLoadError(
+                        f"{path}:{lineno}: face index 0 (OBJ indices start at 1)")
                 idx.append(i - 1 if i > 0 else len(vertices) + i)
             faces.append(tuple(idx))
+            face_lines.append(lineno)
+    n_v = len(vertices)
+    for lineno, face in zip(face_lines, faces):
+        if any(not 0 <= i < n_v for i in face):
+            raise MeshLoadError(
+                f"{path}:{lineno}: face references a vertex outside 1..{n_v}")
     return np.array(vertices, dtype=float).reshape(-1, 3), faces
 
 

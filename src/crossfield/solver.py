@@ -20,10 +20,12 @@ integrands exactly.
 The nonlinear solve starts from the smoothing-only solution, sharpened by
 a few smooth-and-renormalise sweeps that let the vortex structure settle,
 and then iterates Newton steps built from the exact second derivative of
-the energy.  Each step solves a symmetric sparse system; convergence is
-declared on the 2-norm of the exact energy gradient, never on the
-linearised residual, so a converged field is a genuine stationary point
-of the functional.
+the energy.  Each step factors the symmetric free-dof Hessian once, with a
+symmetric fill-reducing ordering and pivots taken on the diagonal, and a
+step larger than ``STEP_CAP`` in any component is scaled down to it;
+convergence is declared on the 2-norm of the exact energy gradient, never
+on the linearised residual, so a converged field is a genuine stationary
+point of the functional.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spsolve  # unused here; perfbench/tracing.py wraps it
 
 from .frames import EdgeFrames, triangle_frames
 from .mesh import InvalidMeshError, SurfaceMesh, mean_edge_length
@@ -48,6 +51,7 @@ __all__ = [
     "cr_shapes",
     "FieldSolution",
     "NewtonOptions",
+    "SingularFactorError",
     "ConvergenceLog",
     "EnergyBreakdown",
     "Discretization",
@@ -74,6 +78,11 @@ TRI_QUAD_POINTS = np.array([
     [_B, _B],
 ])
 TRI_QUAD_WEIGHTS = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
+
+#: Largest Newton step, in the infinity norm, applied at once; a longer step
+#: is scaled down to it.  The unknowns are unit representation vectors, so a
+#: larger change in any component leaves the field's own range.
+STEP_CAP = 1.0
 
 
 def cr_shapes(xi, eta):
@@ -129,8 +138,13 @@ class NewtonOptions:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.epsilon != "auto" and not float(self.epsilon) > 0:
-            raise ValueError("epsilon must be positive or 'auto'")
+        if self.epsilon != "auto":
+            eps = float(self.epsilon)
+            square = eps * eps
+            if not (eps > 0 and 0.0 < square < np.inf
+                    and 1.0 / square < np.inf):
+                raise ValueError("epsilon must be 'auto' or positive, with "
+                                 f"eps**2 and 1/eps**2 finite; got {eps!r}")
         if self.warmup_rounds < 0:
             raise ValueError("warmup_rounds must be non-negative")
 
@@ -150,6 +164,10 @@ class ConvergenceLog:
     @property
     def iterations(self):
         return len(self.residuals)
+
+
+class SingularFactorError(RuntimeError):
+    """The free-dof system of a solve has an exactly zero pivot."""
 
 
 class EnergyBreakdown(NamedTuple):
@@ -330,24 +348,30 @@ def constraint_dofs(mesh, options=None):
     return mask, values, pinned
 
 
-def _eliminate(matrix, mask, values):
-    """Free/free block of ``matrix`` (CSC) and the constrained values'
-    contribution ``K_fc @ values_c``, which moves to the right-hand side.
-    The free rows are sliced twice so that one row copy is alive at a time,
-    which lowers the solve's peak memory."""
-    free = ~mask
-    return matrix[free][:, free].tocsc(), matrix[free][:, mask] @ values[mask]
+def _factor_free(matrix, mask, values):
+    """LU factors of the free/free block of the symmetric ``matrix`` and the
+    constrained values' contribution ``K_fc @ values_c``, which moves to the
+    right-hand side.
 
-
-def _solve_constrained(matrix, rhs, mask, values):
-    """Solve with constrained dofs eliminated to the right-hand side."""
+    The factorisation orders the block symmetrically (minimum degree on
+    ``A + A^T``) and takes its pivots on the diagonal, so on a nonsingular
+    symmetric block it is an ``L D L^T`` in disguise: ``perm_r == perm_c``
+    and the signs of ``U.diagonal()`` are the signs of the block's
+    eigenvalues.  The free rows are sliced twice so that one row copy is
+    alive at a time, which lowers the solve's peak memory.
+    """
     free = ~mask
-    x = values.copy()
-    if not free.any():
-        return x
-    reduced, bound = _eliminate(matrix, mask, values)
-    x[free] = spsolve(reduced, rhs[free] - bound)
-    return x
+    reduced = matrix[free][:, free].tocsc()
+    bound = matrix[free][:, mask] @ values[mask]
+    try:
+        lu = splu(reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise SingularFactorError(
+            f"singular system over {reduced.shape[0]} free dofs: {exc}") from exc
+    return lu, bound
 
 
 def _renormalized(values, floor=1e-8):
@@ -370,11 +394,7 @@ def _warm_start(disc, mask, cvalues, rounds):
     """
     free = ~mask
     x = cvalues.copy()
-    if not free.any():
-        return x
-
-    reduced, bound = _eliminate(disc.stiffness, mask, cvalues)
-    reduced = splu(reduced)
+    lu, bound = _factor_free(disc.stiffness, mask, cvalues)
 
     def project(vec):
         values = _renormalized(disc.values_from_vector(vec))
@@ -382,11 +402,11 @@ def _warm_start(disc, mask, cvalues, rounds):
         out[mask] = cvalues[mask]
         return out
 
-    x[free] = reduced.solve(-bound)
+    x[free] = lu.solve(-bound)
     x = project(x)
     m_diag = disc.lumped_mass()
     for _ in range(rounds):
-        x[free] = reduced.solve((m_diag * x)[free] - bound)
+        x[free] = lu.solve((m_diag * x)[free] - bound)
         x = project(x)
     return x
 
@@ -397,9 +417,11 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     The start is the smoothing-only solution renormalised to unit edge
     norms and refined by ``options.warmup_rounds`` smooth-and-renormalise
     sweeps; assembled Newton solves then run until the 2-norm of the exact
-    energy gradient over the free dofs drops to ``tol``.  An energy
+    energy gradient over the free dofs drops to ``tol``.  A step whose
+    infinity norm exceeds ``STEP_CAP`` is scaled down to it.  An energy
     increase between steps is logged as a warning but does not abort;
-    exceeding ``max_iter`` returns with ``converged=False``.
+    exceeding ``max_iter`` returns with ``converged=False``; an exactly
+    singular step system raises ``SingularFactorError``.
 
     Returns
     -------
@@ -422,7 +444,12 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     prev_energy = None
     for _ in range(options.max_iter):
         matrix, rhs = disc.newton_system(x, epsilon)
-        x = _solve_constrained(matrix, rhs, mask, cvalues)
+        lu, bound = _factor_free(matrix, mask, cvalues)
+        step = lu.solve(rhs[free] - bound) - x[free]
+        # drop the factor before the next one is built: with two alive at
+        # once the heap fragments and the peak memory grows every step
+        del lu
+        x[free] += step / max(1.0, np.abs(step).max(initial=0.0) / STEP_CAP)
         res = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
         residuals.append(res)
         energy = disc.energy(x, epsilon).total

@@ -15,8 +15,10 @@ from .analysis import edge_angles
 __all__ = ["write_field_vtk"]
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
+def _block(row, a):
+    """Every row of ``a`` formatted with ``row``, one text line each."""
+    a = np.asarray(a)
+    return "\n".join([row] * len(a)) % tuple(a.ravel().tolist())
 
 
 def write_field_vtk(path, mesh, edge_frames, field, windings):
@@ -40,29 +42,26 @@ def write_field_vtk(path, mesh, edge_frames, field, windings):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_pts} double",
     ]
-    for p in midpoints:
-        lines.append(" ".join(_fmt(c) for c in p))
+    lines.append(_block("%.17g %.17g %.17g", midpoints))
     lines.append(f"CELLS {n_cells} {4 * n_cells}")
-    for tri in mesh.facet_edges:
-        lines.append("3 " + " ".join(str(int(e)) for e in tri))
+    lines.append(_block("3 %d %d %d", mesh.facet_edges))
     lines.append(f"CELL_TYPES {n_cells}")
     lines.extend(["5"] * n_cells)
 
     lines.append(f"POINT_DATA {n_pts}")
     lines.append("VECTORS direction_branch double")
-    for b in branch:
-        lines.append(" ".join(_fmt(c) for c in b))
+    lines.append(_block("%.17g %.17g %.17g", branch))
     lines.append("SCALARS norm double 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(v) for v in norms)
+    lines.append(_block("%.17g", norms))
     lines.append("SCALARS theta double 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(_fmt(v) for v in theta)
+    lines.append(_block("%.17g", theta))
 
     lines.append(f"CELL_DATA {n_cells}")
     lines.append("SCALARS winding int 1")
     lines.append("LOOKUP_TABLE default")
-    lines.extend(str(int(w)) for w in windings)
+    lines.append(_block("%d", windings))
 
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")

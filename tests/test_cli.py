@@ -140,6 +140,21 @@ def test_short_vertex_record_exits_2(capsys, tmp_path, name, text, where):
     assert where in err
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("high.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "high.obj:4"),
+    ("zero.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 0\n", "zero.obj:4"),
+    ("high.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 7\n", "high.off"),
+], ids=["obj-high", "obj-zero", "off-high"])
+def test_face_index_out_of_range_exits_2(capsys, tmp_path, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(crossfield.MeshLoadError, match=where):
+        crossfield.load_mesh(path)
+    code, _, err = run_cli(capsys, "topology", str(path))
+    assert code == 2
+    assert where in err
+
+
 def test_audit_square_grid(capsys, tmp_path):
     verts, quads = meshes.square_grid_quads(6)
     path = tmp_path / "grid.off"
@@ -270,6 +285,30 @@ def test_solve_non_convergence_exit(capsys, sphere_off):
     assert code == 4
     payload = json.loads(out)
     assert payload["convergence"]["converged"] is False
+
+
+def test_singular_newton_system_exits_4(capsys, square_off, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(crossfield.solver, "splu", singular)
+    code, out, err = run_cli(capsys, "solve", "--mesh", str(square_off),
+                             "--epsilon", "0.2")
+    assert code == 4
+    assert out == ""
+    assert "singular" in err
+
+
+@pytest.mark.parametrize("epsilon", ["1e155", "1e200", "inf", "nan", "1e-160",
+                                     "1e-170"])
+def test_unrepresentable_epsilon_exits_2(capsys, square_off, tmp_path, epsilon):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", "--mesh", str(square_off),
+                             "--epsilon", epsilon, "--out-report", str(report))
+    assert code == 2
+    assert out == ""
+    assert "epsilon" in err
+    assert not report.exists()
 
 
 def test_solve_rejects_quads_and_bad_flags(capsys, tmp_path):

@@ -3,14 +3,16 @@ from math import factorial
 
 import numpy as np
 import pytest
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags
 
 from crossfield import (CR_GRADIENTS, Discretization, FieldSolution,
-                        InvalidMeshError, NewtonOptions, SurfaceMesh,
-                        TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS, build_edge_frames,
+                        InvalidMeshError, NewtonOptions, SingularFactorError,
+                        SurfaceMesh, TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS,
+                        build_edge_frames,
                         constraint_dofs, cr_shapes, gl_energy, gl_residual,
                         newton_solve,
                         extract_singularities, triangle_frames)
+from crossfield.solver import _factor_free
 
 import meshes
 
@@ -326,3 +328,50 @@ def test_converged_norm_band(sphere_cross):
     norms = sphere_cross.field.norms()[far]
     assert norms.min() >= 0.2
     assert norms.max() <= 1.2
+
+
+# -- the step factorisation ---------------------------------------------------
+
+def test_factor_takes_diagonal_pivots_on_indefinite_newton_matrix():
+    mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
+    frames = build_edge_frames(mesh)
+    disc = Discretization(mesh, frames, 4)
+    options = NewtonOptions(epsilon=0.25)
+    mask, values, _ = constraint_dofs(mesh, options)
+    x = np.random.default_rng(3).uniform(-0.3, 0.3, size=disc.n_dofs)
+    x[mask] = values[mask]
+    matrix, rhs = disc.newton_system(x, 0.25)
+    lu, bound = _factor_free(matrix, mask, values)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert (lu.U.diagonal() < 0).sum() > 0   # an indefinite Hessian
+    free = ~mask
+    b = rhs[free] - bound
+    y = lu.solve(b)
+    reduced = matrix[free][:, free]
+    assert np.linalg.norm(reduced @ y - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_exactly_singular_system_raises_typed_error():
+    matrix = csr_matrix(np.array([[1.0, 1.0, 0.0],
+                                  [1.0, 1.0, 0.5],
+                                  [0.0, 0.5, 2.0]]))
+    mask = np.array([False, False, True])
+    with pytest.raises(SingularFactorError, match="singular"):
+        _factor_free(matrix, mask, np.zeros(3))
+
+
+def test_asterisk_sphere_ends_at_a_minimum(sphere_mesh):
+    """From pin 1, undamped Newton converges to a saddle (energy 57.75872,
+    one negative Hessian pivot); the capped step reaches the minimum near
+    57.1421."""
+    frames = build_edge_frames(sphere_mesh)
+    options = NewtonOptions(epsilon=0.1, tol=1e-12, rng_seed=1)
+    field, log = newton_solve(sphere_mesh, frames, 6, options)
+    assert log.converged
+    disc = Discretization(sphere_mesh, frames, 6)
+    x = disc.vector_from_values(field.values)
+    mask, values, _ = constraint_dofs(sphere_mesh, options)
+    lu, _ = _factor_free(disc.newton_system(x, 0.1)[0], mask, values)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert (lu.U.diagonal() < 0).sum() == 0
+    assert disc.energy(x, 0.1).total < 57.2
