@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import topology_report
+from .mesh import _components, topology_report
 
 __all__ = [
     "Singularity",
@@ -196,69 +196,42 @@ def extract_singularities(mesh, tri_frames, field):
     vertex-seated charges at the vertex position with an adjacent triangle
     as the representative.  Triangles that share an edge of near-zero norm
     are merged into one cluster reporting the summed winding, since a
-    critical point sitting on such an edge has no single-cell location.
-    The result is sorted by ``(index, triangle id)``.
+    critical point sitting on such an edge has no single-cell location;
+    such a cluster sits at the area-weighted mean of its centroids and is
+    flagged.  The result is sorted by ``(index, triangle id)``.
     """
-    w_tri, _ = triangle_windings(mesh, tri_frames, field)
+    w_tri, touches_zero = triangle_windings(mesh, tri_frames, field)
     w_vert, _ = vertex_windings(mesh, tri_frames, field)
     norms = field.norms()
     centroids = mesh.triangle_centroids()
     areas = mesh.triangle_areas()
 
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for e in np.flatnonzero(norms < NORM_FLOOR):
-        t0, t1 = mesh.edge_facets[e]
-        parent.setdefault(int(t0), int(t0))
-        if t1 >= 0:
-            union(int(t0), int(t1))
-
-    clusters = {}
-    for t in parent:
-        clusters.setdefault(find(t), []).append(t)
-    clustered = set(parent)
+    near_zero = (norms < NORM_FLOOR) & ~mesh.boundary_edge
+    count, labels = _components(mesh.edge_facets[near_zero], mesh.n_triangles)
+    charge = np.zeros(count, dtype=np.int64)
+    np.add.at(charge, labels, w_tri)
+    by_label = np.argsort(labels, kind="stable")
+    size = np.bincount(labels)
+    start = np.cumsum(size) - size
 
     out = []
-    for members in clusters.values():
-        members = sorted(members)
-        total = int(w_tri[members].sum())
-        if total == 0:
-            continue
-        weights = areas[members]
-        position = (centroids[members] * weights[:, None]).sum(axis=0) / weights.sum()
-        edge_ids = np.unique(mesh.facet_edges[members])
-        out.append(Singularity(
-            triangle=members[0],
-            position=position,
-            index=Fraction(total, field.order),
-            local_min_norm=float(norms[edge_ids].min()),
-            cluster=tuple(members),
-            flagged=True,
-        ))
-    for t in np.flatnonzero(w_tri != 0):
-        t = int(t)
-        if t in clustered:
-            continue
+    for c in np.flatnonzero(charge):
+        members = by_label[start[c]:start[c] + size[c]]
+        t = int(members[0])
+        flagged = bool(touches_zero[members].any())
+        if flagged:
+            weights = areas[members]
+            position = ((centroids[members] * weights[:, None]).sum(axis=0)
+                        / weights.sum())
+        else:
+            position = centroids[t]
         out.append(Singularity(
             triangle=t,
-            position=centroids[t],
-            index=Fraction(int(w_tri[t]), field.order),
-            local_min_norm=float(norms[mesh.facet_edges[t]].min()),
-            cluster=(t,),
-            flagged=False,
+            position=position,
+            index=Fraction(int(charge[c]), field.order),
+            local_min_norm=float(norms[mesh.facet_edges[members]].min()),
+            cluster=tuple(members.tolist()),
+            flagged=flagged,
         ))
 
     first_tri = np.full(mesh.n_vertices, mesh.n_triangles)
@@ -289,12 +262,9 @@ def _boundary_corner_sum(mesh, order):
     nearest multiple of ``1/order`` to ``(pi - beta) / (2*pi)``; straight
     boundary vertices contribute zero.
     """
-    interior_angle = 2.0 * np.pi - angle_defects(mesh)
-    corner = Fraction(0)
-    for v in np.flatnonzero(mesh.boundary_vertex):
-        turns = order * (np.pi - interior_angle[v]) / (2.0 * np.pi)
-        corner += Fraction(int(np.rint(turns)), order)
-    return corner
+    interior_angle = 2.0 * np.pi - angle_defects(mesh)[mesh.boundary_vertex]
+    turns = order * (np.pi - interior_angle) / (2.0 * np.pi)
+    return Fraction(int(np.rint(turns).sum()), order)
 
 
 def poincare_hopf_check(mesh, singularities, field):

@@ -106,6 +106,17 @@ def _build_edge_tables(facets, n_vertices):
     return edges, facet_edges, edge_facets, boundary_edge
 
 
+def _components(pairs, n):
+    """Connected components of the graph on ``n`` nodes linked by ``pairs``.
+
+    ``pairs`` is an (m, 2) array of node ids; returns ``(count, labels)``
+    as ``scipy.sparse.csgraph.connected_components`` does.
+    """
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
 class _FacetMesh:
     """Shared connectivity machinery of triangle and quad meshes."""
 
@@ -168,11 +179,7 @@ class _FacetMesh:
 
     def vertex_component_labels(self):
         """Connected-component label per vertex (edges as graph links)."""
-        n = self.n_vertices
-        ones = np.ones(len(self.edges))
-        graph = coo_matrix((ones, (self.edges[:, 0], self.edges[:, 1])), shape=(n, n))
-        count, labels = connected_components(graph, directed=False)
-        return count, labels
+        return _components(self.edges, self.n_vertices)
 
 
 class SurfaceMesh(_FacetMesh):
@@ -283,10 +290,11 @@ class TopologyReport:
 
 
 def boundary_loops(mesh):
-    """Trace the closed loops formed by the boundary edges.
+    """Group the boundary edges into their closed loops.
 
-    Returns a list of arrays of edge ids; every boundary edge appears in
-    exactly one loop.
+    Returns a list of arrays of edge ids, one per connected component of
+    the boundary-edge graph, in ascending edge-id order within each loop;
+    every boundary edge appears in exactly one loop.
 
     Raises
     ------
@@ -298,39 +306,18 @@ def boundary_loops(mesh):
     if len(edge_ids) == 0:
         return []
     pairs = mesh.edges[edge_ids]
-    incident = {}
-    for eid, (a, b) in zip(edge_ids, pairs):
-        incident.setdefault(int(a), []).append(int(eid))
-        incident.setdefault(int(b), []).append(int(eid))
-    bad = [v for v, es in incident.items() if len(es) != 2]
-    if bad:
+    degree = np.bincount(pairs.ravel(), minlength=mesh.n_vertices)
+    bad = np.flatnonzero((degree != 0) & (degree != 2))
+    if len(bad):
         raise InvalidMeshError(
-            f"boundary does not close at vertices {bad[:5]} (non-manifold input)"
+            f"boundary does not close at vertices {bad[:5].tolist()} "
+            "(non-manifold input)"
         )
-    loops = []
-    seen = set()
-    edge_pairs = {int(e): (int(a), int(b)) for e, (a, b) in zip(edge_ids, pairs)}
-    for start in edge_ids:
-        start = int(start)
-        if start in seen:
-            continue
-        loop = [start]
-        seen.add(start)
-        a, b = edge_pairs[start]
-        vertex = b
-        while True:
-            nxt = [e for e in incident[vertex] if e not in seen]
-            if not nxt:
-                break
-            e = nxt[0]
-            seen.add(e)
-            loop.append(e)
-            u, v = edge_pairs[e]
-            vertex = v if u == vertex else u
-        if vertex != a:
-            raise InvalidMeshError("boundary chain does not close (non-manifold input)")
-        loops.append(np.array(loop))
-    return loops
+    _, labels = _components(pairs, mesh.n_vertices)
+    edge_labels = labels[pairs[:, 0]]
+    order = np.argsort(edge_labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(edge_labels[order])) + 1
+    return np.split(edge_ids[order], cuts)
 
 
 def _component_report(n, n_e, n_f, n_b, loops):

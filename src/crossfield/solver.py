@@ -134,8 +134,8 @@ class NewtonOptions:
     warmup_rounds: int = 10
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite; got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.epsilon != "auto":

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from crossfield import (FieldSolution, SurfaceMesh, build_edge_frames,
                         edge_angles, extract_singularities,
@@ -218,18 +220,32 @@ def test_disk_extraction(disk_cross):
 
 
 def test_zero_norm_edge_merges_cluster(disk_cross):
-    sings = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
-                                  disk_cross.field)
-    total = sum(s.index for s in sings)
-    # knock one edge of a charged region to zero and re-extract
+    mesh, tf = disk_cross.mesh, disk_cross.tri_frames
+    # edge 1267 is an interior edge of triangle 730, the representative of a
+    # +1/4 charge; with the edge zeroed its two triangles carry net winding
+    edge = 1267
+    pair = sorted(mesh.edge_facets[edge].tolist())
+    assert 730 in pair and pair[0] >= 0
     values = disk_cross.field.values.copy()
-    norms = np.linalg.norm(values, axis=1)
-    target = int(np.argmin(norms))
-    values[target] = 0.0
+    values[edge] = 0.0
     field = FieldSolution(order=4, values=values, epsilon=disk_cross.field.epsilon)
-    merged = extract_singularities(disk_cross.mesh, disk_cross.tri_frames, field)
-    assert sum(s.index for s in merged) == total
-    assert any(s.flagged for s in merged) or all(len(s.cluster) == 1 for s in merged)
+    w_tri, _ = triangle_windings(mesh, tf, field)
+    total = int(w_tri[pair].sum())
+    assert total != 0
+
+    merged = [s for s in extract_singularities(mesh, tf, field)
+              if len(s.cluster) > 1]
+    assert len(merged) == 1
+    s = merged[0]
+    assert s.cluster == tuple(pair)
+    assert s.flagged
+    assert s.triangle == pair[0]
+    assert s.index == Fraction(total, 4)
+    assert s.local_min_norm == 0.0
+    areas = mesh.triangle_areas()[pair]
+    centroids = mesh.triangle_centroids()[pair]
+    expected = (centroids * areas[:, None]).sum(axis=0) / areas.sum()
+    np.testing.assert_allclose(s.position, expected, rtol=0, atol=1e-15)
 
 
 def test_singularity_sorting_and_json(disk_cross):
@@ -258,3 +274,34 @@ def test_boundary_corner_rounding():
     lfield = FieldSolution(order=4, values=np.ones((lmesh.n_edges, 2)), epsilon=0.1)
     lreport = poincare_hopf_check(lmesh, [], lfield)
     assert lreport.corner_sum == 1
+
+
+def convex_hull_mesh(points):
+    """Triangulated convex hull, each face counterclockwise seen from outside."""
+    tris = ConvexHull(points).simplices.copy()
+    p = points[tris]
+    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    # orient against the hull's own centroid: on small hulls the origin can
+    # lie outside or on a face plane
+    outward = p.mean(axis=1) - points[np.unique(tris)].mean(axis=0)
+    inward = (normal * outward).sum(axis=1) < 0
+    tris[inward] = tris[inward][:, ::-1]
+    return SurfaceMesh(points, tris)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(4, 300), order=st.sampled_from([1, 2, 4, 6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_hull_windings_sum_to_order_times_chi(n, order, seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    mesh = convex_hull_mesh(points)
+    tf = triangle_frames(mesh, build_edge_frames(mesh), order)
+    angle = rng.uniform(-np.pi, np.pi, mesh.n_edges)
+    radius = rng.uniform(0.5, 1.5, mesh.n_edges)
+    field = FieldSolution(order=order, epsilon=0.1, values=np.stack(
+        [radius * np.cos(angle), radius * np.sin(angle)], axis=1))
+    assert winding_total(mesh, tf, field) == 2 * order
+    sings = extract_singularities(mesh, tf, field)
+    assert poincare_hopf_check(mesh, sings, field).passed

@@ -311,6 +311,28 @@ def test_unrepresentable_epsilon_exits_2(capsys, square_off, tmp_path, epsilon):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(capsys, square_off, tmp_path, tol):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", "--mesh", str(square_off),
+                             "--tol", tol, "--out-report", str(report))
+    assert code == 2
+    assert out == ""
+    assert "tol" in err
+    assert not report.exists()
+
+
+def test_pinched_boundary_exits_2(capsys, tmp_path):
+    path = tmp_path / "bowtie.off"
+    path.write_text("OFF\n5 2 0\n0 0 0\n1 0 0\n1 1 0\n-1 0 0\n-1 -1 0\n"
+                    "3 0 1 2\n3 0 3 4\n")
+    for argv in (["topology", str(path)], ["solve", "--mesh", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "boundary does not close" in err
+
+
 def test_solve_rejects_quads_and_bad_flags(capsys, tmp_path):
     verts, quads = meshes.square_grid_quads(3)
     path = tmp_path / "grid.off"

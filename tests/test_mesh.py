@@ -161,9 +161,32 @@ def test_boundary_loop_partition_square_with_hole():
     all_edges = np.concatenate(loops)
     assert len(all_edges) == len(set(all_edges.tolist()))
     assert set(all_edges.tolist()) == set(np.flatnonzero(mesh.boundary_edge).tolist())
+    for loop in loops:
+        # one closed cycle: every vertex has two of the loop's edges, and a
+        # walk from the first edge uses them all and ends where it began
+        pairs = [tuple(p) for p in mesh.edges[loop].tolist()]
+        _, degree = np.unique(pairs, return_counts=True)
+        assert (degree == 2).all()
+        start, vertex = pairs[0]
+        rest = pairs[1:]
+        while rest:
+            step = next(p for p in rest if vertex in p)
+            rest.remove(step)
+            vertex = step[0] if step[1] == vertex else step[1]
+        assert vertex == start
     report = topology_report(mesh)
     assert report.chi == 0
     assert report.boundary_loops == 2
+
+
+def test_boundary_pinched_at_a_vertex_rejected():
+    # a bow-tie: two triangles sharing only vertex 0, which then has four
+    # boundary edges
+    verts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [-1, 0, 0], [-1, -1, 0]],
+                     dtype=float)
+    mesh = SurfaceMesh(verts, np.array([[0, 1, 2], [0, 3, 4]]))
+    with pytest.raises(InvalidMeshError, match=r"boundary does not close at vertices \[0\]"):
+        boundary_loops(mesh)
 
 
 def test_disconnected_components_reported():

@@ -218,8 +218,9 @@ def test_no_constraints_raises():
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        NewtonOptions(tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            NewtonOptions(tol=tol)
     with pytest.raises(ValueError):
         NewtonOptions(max_iter=0)
     with pytest.raises(ValueError):
