@@ -12,10 +12,9 @@ serve as an independent placement oracle for computed fields.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
 
 logger = logging.getLogger(__name__)
 
@@ -160,6 +159,8 @@ def fekete_optimize(count, seed=0, restarts=4):
     gradient above 1e-6) is logged, and the best configuration found is
     returned regardless.
     """
+    from scipy.optimize import minimize
+
     if count < 2:
         raise ValueError("need at least two points")
     rng = np.random.default_rng(seed)
@@ -207,6 +208,8 @@ def align_point_sets(source, target):
     where ``distances[i] = |rotation @ source_matched - target|`` per
     matched pair.
     """
+    from scipy.optimize import linear_sum_assignment
+
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 3:

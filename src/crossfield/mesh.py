@@ -71,9 +71,12 @@ def _build_edge_tables(facets, n_vertices):
     m, k = facets.shape
     tails = facets.ravel()
     heads = np.roll(facets, -1, axis=1).ravel()
-    undirected = np.stack([np.minimum(tails, heads), np.maximum(tails, heads)], axis=1)
-    edges, inverse = np.unique(undirected, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    # One int64 key per undirected edge, ordered as the (lo, hi) rows are
+    # lexicographically; it needs n_vertices**2 < 2**63.
+    lo = np.minimum(tails, heads)
+    hi = np.maximum(tails, heads)
+    keys, inverse = np.unique(lo * n_vertices + hi, return_inverse=True)
+    edges = np.stack(np.divmod(keys, n_vertices), axis=1)
     n_e = len(edges)
 
     counts = np.bincount(inverse, minlength=n_e)

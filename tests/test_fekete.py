@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import crossfield
 from crossfield import (DEFAULT_SQUARE_HEIGHT, PointConfiguration,
                         align_point_sets, fekete_optimize,
                         log_interaction_energy, tilt_sweep,
@@ -86,6 +93,34 @@ def test_fekete_two_points_antipodal():
     config = fekete_optimize(2, seed=0)
     gap = np.linalg.norm(config.points[0] - config.points[1])
     assert gap == pytest.approx(2.0, abs=1e-6)
+
+
+IMPORT_PROBE = """
+import json, sys
+import crossfield, crossfield.cli
+after_import = "scipy.optimize" in sys.modules
+config = crossfield.fekete_optimize(2, seed=0)
+print(json.dumps({"after_import": after_import,
+                  "after_call": "scipy.optimize" in sys.modules,
+                  "points": config.points.tolist()}))
+"""
+
+
+def test_scipy_optimize_loads_only_with_the_fekete_code():
+    """Importing the package and its CLI leaves scipy.optimize unloaded (a
+    solve never needs it); the first Fekete call loads it."""
+    src = str(Path(crossfield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                            env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    assert not probe["after_import"]
+    assert probe["after_call"]
+    points = np.array(probe["points"])
+    assert np.linalg.norm(points, axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert np.linalg.norm(points[0] - points[1]) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_fekete_eight_is_twisted_square_pair():

@@ -1,11 +1,16 @@
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crossfield import (InvalidMeshError, MeshLoadError, QuadMesh,
                         SurfaceMesh, boundary_loops, load_mesh,
                         mean_edge_length, topology_report)
+from crossfield.mesh import _build_edge_tables
 
 import meshes
 
@@ -246,3 +251,102 @@ def test_edge_table_independent_of_triangle_order():
     mesh_b = SurfaceMesh(verts, tris[rng.permutation(len(tris))])
     assert np.array_equal(mesh_a.edges, mesh_b.edges)
     assert np.array_equal(mesh_a.boundary_edge, mesh_b.boundary_edge)
+
+
+def _row_unique_edge_tables(facets):
+    """Edge tables by a row-wise ``np.unique`` of the sorted vertex pairs,
+    with each edge's adjacent facets gathered by a plain loop."""
+    tails = facets.ravel()
+    heads = np.roll(facets, -1, axis=1).ravel()
+    undirected = np.stack([np.minimum(tails, heads), np.maximum(tails, heads)], axis=1)
+    edges, inverse = np.unique(undirected, axis=0, return_inverse=True)
+    facet_edges = inverse.reshape(facets.shape)
+    adjacent = [[] for _ in edges]
+    for t, row in enumerate(facet_edges):
+        for e in row:
+            adjacent[e].append(t)
+    edge_facets = np.array([a + [-1] * (2 - len(a)) for a in adjacent])
+    boundary_edge = np.array([len(a) == 1 for a in adjacent])
+    return edges, facet_edges, edge_facets, boundary_edge
+
+
+EDGE_TABLE_FIXTURES = [
+    (meshes.octahedron, ()),
+    (meshes.square_grid_tri, (5,)),
+    (meshes.disk_hex, (4,)),
+    (meshes.torus_tri, (8, 6)),
+    (meshes.lshape_tri, (3,)),
+    (meshes.golden_spiral_sphere, (200,)),
+    (meshes.square_grid_quads, (5,)),
+    (meshes.lshape_quads, (3,)),
+    (meshes.cylinder_quads, (8, 5)),
+    (meshes.torus_quads, (8, 6)),
+    (meshes.ogrid_disk_quads, (4, 3)),
+]
+
+
+@pytest.mark.parametrize("generator, args", EDGE_TABLE_FIXTURES,
+                         ids=[g.__name__ for g, _ in EDGE_TABLE_FIXTURES])
+def test_edge_tables_match_row_unique_reference(generator, args):
+    verts, facets = generator(*args)
+    facets = np.asarray(facets, dtype=np.int64)
+    base = _build_edge_tables(facets, len(verts))
+    rng = np.random.default_rng(11)
+    perms = [np.arange(len(facets))] + [rng.permutation(len(facets)) for _ in range(3)]
+    for perm in perms:
+        got = _build_edge_tables(facets[perm], len(verts))
+        for name, g, w in zip(("edges", "facet_edges", "edge_facets", "boundary_edge"),
+                              got, _row_unique_edge_tables(facets[perm])):
+            assert g.dtype == w.dtype, name
+            assert np.array_equal(g, w), name
+        # relabelling the facets keeps every edge id
+        assert np.array_equal(got[0], base[0])
+        assert np.array_equal(got[1], base[1][perm])
+        assert np.array_equal(got[3], base[3])
+
+
+def _min_inradius(verts, tris):
+    p = verts[tris]
+    sides = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2)
+    area = 0.5 * np.linalg.norm(
+        np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    return float((2.0 * area / sides.sum(axis=1)).min())
+
+
+@st.composite
+def jittered_triangle_meshes(draw):
+    """A fixture triangulation whose vertices move by less than a quarter of
+    the smallest inradius (so no triangle degenerates), then scaled and
+    shifted; its triangles are shuffled and cyclically rotated."""
+    generator, args = draw(st.sampled_from([
+        (meshes.octahedron, ()),
+        (meshes.square_grid_tri, (3,)),
+        (meshes.disk_hex, (2,)),
+        (meshes.lshape_tri, (2,)),
+        (meshes.torus_tri, (6, 4)),
+        (meshes.golden_spiral_sphere, (40,)),
+    ]))
+    verts, tris = generator(*args)
+    jitter = draw(arrays(np.float64, verts.shape, elements=st.floats(-1.0, 1.0)))
+    verts = verts + jitter * (0.25 / np.sqrt(3.0)) * _min_inradius(verts, tris)
+    scale = draw(st.floats(1e-3, 1e3))
+    shift = draw(arrays(np.float64, 3, elements=st.floats(-100.0, 100.0)))
+    order = draw(st.permutations(range(len(tris))))
+    turns = draw(arrays(np.int64, len(tris), elements=st.integers(0, 2)))
+    tris = np.array([np.roll(tris[t], k) for t, k in zip(order, turns)])
+    return verts * scale + shift, tris
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mesh=jittered_triangle_meshes())
+def test_mesh_files_round_trip_exactly(mesh):
+    verts, tris = mesh
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix, write in (("off", meshes.write_off), ("obj", meshes.write_obj),
+                              ("msh", meshes.write_msh22)):
+            path = Path(tmp) / f"mesh.{suffix}"
+            write(path, verts, tris)
+            loaded = load_mesh(path)
+            assert isinstance(loaded, SurfaceMesh), suffix
+            assert np.array_equal(loaded.vertices, verts), suffix
+            assert np.array_equal(loaded.triangles, tris), suffix
