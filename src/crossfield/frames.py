@@ -72,11 +72,21 @@ class TriangleFrames:
         # matrices in the last bits, which moves chaotic Newton solves
         ci, si = self.cos[:, :, None], self.sin[:, :, None]
         cj, sj = self.cos[:, None, :], self.sin[:, None, :]
+
+        def products(block):
+            """``ci*block*cj``, ``ci*block*sj``, ``si*block*cj``, ``si*block*sj``,
+            each evaluated left to right, once."""
+            left_c, left_s = ci * block, si * block
+            return left_c * cj, left_c * sj, left_s * cj, left_s * sj
+
+        pcc, pcs, psc, pss = products(p)
+        qcc, qcs, qsc, qss = products(q)
+        vcc, vcs, vsc, vss = products(v)
         k = np.empty((len(self.cos), 6, 6))
-        k[:, :3, :3] = ci * p * cj - ci * q * sj - si * q * cj + si * v * sj
-        k[:, :3, 3:] = ci * p * sj + ci * q * cj - si * q * sj - si * v * cj
-        k[:, 3:, :3] = si * p * cj - si * q * sj + ci * q * cj - ci * v * sj
-        k[:, 3:, 3:] = si * p * sj + si * q * cj + ci * q * sj + ci * v * cj
+        k[:, :3, :3] = pcc - qcs - qsc + vss
+        k[:, :3, 3:] = pcs + qcc - qss - vsc
+        k[:, 3:, :3] = psc - qss + qcc - vcs
+        k[:, 3:, 3:] = pss + qsc + qcs + vcc
         return k
 
 

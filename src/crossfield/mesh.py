@@ -477,7 +477,6 @@ def _parse_msh(path, lines):
     i = 0
     nodes = {}
     faces = []
-    node_order = []
     while i < len(lines):
         tag = lines[i].strip()
         if tag == "$MeshFormat":
@@ -491,8 +490,10 @@ def _parse_msh(path, lines):
             count = int(lines[i + 1])
             for j in range(count):
                 tok = lines[i + 2 + j].split()
-                nodes[int(tok[0])] = tuple(float(t) for t in tok[1:4])
-                node_order.append(int(tok[0]))
+                nid = int(tok[0])
+                if nid in nodes:
+                    raise MeshLoadError(f"{path}: node {nid} is defined twice")
+                nodes[nid] = tuple(float(t) for t in tok[1:4])
             i += count + 3
         elif tag == "$Elements":
             count = int(lines[i + 1])
@@ -519,8 +520,12 @@ def _parse_msh(path, lines):
             i += 1
     if not nodes:
         raise MeshLoadError(f"{path}: MSH file has no nodes")
-    remap = {nid: k for k, nid in enumerate(node_order)}
-    vertices = np.array([nodes[nid] for nid in node_order])
+    remap = {nid: k for k, nid in enumerate(nodes)}
+    undefined = set().union(*faces) - nodes.keys()
+    if undefined:
+        raise MeshLoadError(
+            f"{path}: element names undefined node {min(undefined)}")
+    vertices = np.array(list(nodes.values()))
     faces = [tuple(remap[n] for n in f) for f in faces]
     return vertices, faces
 

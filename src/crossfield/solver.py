@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import spsolve  # unused here; perfbench/tracing.py wraps it
 
@@ -183,7 +184,10 @@ class Discretization:
     stiffness blocks, transport phases, and the scatter indices used to
     assemble global systems over the ``2 * n_edges`` unknowns laid out as
     ``[all f1, all f2]``.  Energy, gradient and Hessian all evaluate the
-    field at the quadrature points through one kernel, ``_quadrature``.
+    field at the quadrature points through one kernel, ``_quadrature``,
+    run once per field: the residual, energy and Newton system at one ``x``
+    share it.  Every Newton system is assembled into the CSR pattern of
+    ``stiffness``.
     """
 
     def __init__(self, mesh: SurfaceMesh, edge_frames: EdgeFrames, order: int = 4):
@@ -219,10 +223,12 @@ class Discretization:
         self.n_dofs = 2 * n_e
         self.tri_dofs = np.concatenate(
             [mesh.facet_edges, mesh.facet_edges + n_e], axis=1)
-        self._rows = np.repeat(self.tri_dofs, 6, axis=1).ravel()
-        self._cols = np.tile(self.tri_dofs, (1, 6)).ravel()
-        self.stiffness = self._matrix(self.stiffness_blocks, 0.0,
-                                      self.stiffness_blocks)
+        # the one COO assembly: it fixes the pattern of every later system
+        k = self.tri_frames.blocks_to_edges(self.stiffness_blocks, 0.0,
+                                            self.stiffness_blocks)
+        self.stiffness = coo_matrix((k.ravel(), self._entries()),
+                                    shape=(self.n_dofs, self.n_dofs)).tocsr()
+        self._shared = None
 
     # -- helpers ----------------------------------------------------------
 
@@ -244,6 +250,14 @@ class Discretization:
         aw = (self.areas[:, None] / epsilon**2) * TRI_QUAD_WEIGHTS[None, :]
         return (g1, g2), f1, f2, aw
 
+    def _quadrature_once(self, x, epsilon):
+        """``_quadrature`` of ``x``, reused while ``x`` and ``epsilon`` keep
+        the same bits; callers only read the arrays it returns."""
+        key = (np.asarray(x, dtype=float).tobytes(), epsilon)
+        if self._shared is None or self._shared[0] != key:
+            self._shared = key, self._quadrature(x, epsilon)
+        return self._shared[1]
+
     def _scatter(self, out, v1, v2):
         """Integrate the weighted pointwise values ``v1`` (f1 rows) and
         ``v2`` (f2 rows) against the shape functions, rotate the element
@@ -254,12 +268,32 @@ class Discretization:
         np.add.at(out, self.tri_dofs, np.concatenate([h1, h2], axis=1))
         return out
 
+    def _entries(self):
+        """Row and column dofs of the entries of the (T, 6, 6) element
+        matrices, in their memory order."""
+        return (np.repeat(self.tri_dofs, 6, axis=1).ravel(),
+                np.tile(self.tri_dofs, (1, 6)).ravel())
+
+    @cached_property
+    def _slots(self):
+        """Position in ``stiffness.data`` of every entry of the (T, 6, 6)
+        element matrices, found on the first Newton system.
+
+        No entry gets more than two contributions (an edge has at most two
+        facets), and the sum of two floats does not depend on their order,
+        so adding them per slot, from -0.0 (which leaves every float as it
+        is, zeros' signs included), gives the bits of COO assembly."""
+        return np.asarray(_positions(self.stiffness)[self._entries()]).ravel()
+
     def _matrix(self, p, q, v):
         """Assemble the global CSR matrix of the shared-frame element
-        blocks ``[[p, q], [q, v]]`` rotated to edge frames."""
+        blocks ``[[p, q], [q, v]]`` rotated to edge frames, in the pattern
+        of ``stiffness`` (whose index arrays it shares)."""
         k = self.tri_frames.blocks_to_edges(p, q, v)
-        return coo_matrix((k.ravel(), (self._rows, self._cols)),
-                          shape=(self.n_dofs, self.n_dofs)).tocsr()
+        data = np.full(self.stiffness.nnz, -0.0)
+        np.add.at(data, self._slots, k.ravel())
+        return csr_matrix((data, self.stiffness.indices, self.stiffness.indptr),
+                          shape=self.stiffness.shape)
 
     def newton_system(self, x, epsilon):
         """Assembled Newton system ``(K, B)`` about the field ``x``.
@@ -269,7 +303,7 @@ class Discretization:
         ``K x`` minus the energy gradient, so one solve performs a full
         Newton step.
         """
-        _, f1, f2, aw = self._quadrature(x, epsilon)
+        _, f1, f2, aw = self._quadrature_once(x, epsilon)
 
         def mass(rho):
             return np.einsum("tq,qm,qn->tmn", aw * rho, self.shape_table,
@@ -294,14 +328,14 @@ class Discretization:
 
     def residual(self, x, epsilon):
         """Exact gradient of the discrete energy with respect to ``x``."""
-        _, f1, f2, aw = self._quadrature(x, epsilon)
+        _, f1, f2, aw = self._quadrature_once(x, epsilon)
         deficit = f1 * f1 + f2 * f2 - 1.0
         return self._scatter(self.stiffness @ x, aw * deficit * f1,
                              aw * deficit * f2)
 
     def energy(self, x, epsilon):
         """Smoothing and penalty parts of the discrete energy at ``x``."""
-        (g1, g2), f1, f2, _ = self._quadrature(x, epsilon)
+        (g1, g2), f1, f2, _ = self._quadrature_once(x, epsilon)
         smoothing = 0.5 * (
             np.einsum("tm,tmn,tn->", g1, self.stiffness_blocks, g1)
             + np.einsum("tm,tmn,tn->", g2, self.stiffness_blocks, g2))
@@ -348,21 +382,45 @@ def constraint_dofs(mesh, options=None):
     return mask, values, pinned
 
 
-def _factor_free(matrix, mask, values):
-    """LU factors of the free/free block of the symmetric ``matrix`` and the
-    constrained values' contribution ``K_fc @ values_c``, which moves to the
-    right-hand side.
+def _positions(pattern):
+    """The CSR matrix with the pattern of ``pattern`` whose values are the
+    positions of its entries in ``data``: indexing or slicing it finds
+    where entries sit in any matrix of that pattern."""
+    return csr_matrix((np.arange(pattern.nnz, dtype=pattern.indices.dtype),
+                       pattern.indices, pattern.indptr), shape=pattern.shape)
 
-    The factorisation orders the block symmetrically (minimum degree on
-    ``A + A^T``) and takes its pivots on the diagonal, so on a nonsingular
-    symmetric block it is an ``L D L^T`` in disguise: ``perm_r == perm_c``
-    and the signs of ``U.diagonal()`` are the signs of the block's
-    eigenvalues.  The free rows are sliced twice so that one row copy is
-    alive at a time, which lowers the solve's peak memory.
+
+def _free_blocks(pattern, mask):
+    """Entry positions of the free/free block (CSC) and of the
+    free/constrained block (CSR) of any matrix with the CSR pattern of
+    ``pattern``; ``_gather`` fills them with a matrix's values, entry for
+    entry as slicing the matrix would."""
+    rows = _positions(pattern)[~mask]
+    return rows[:, ~mask].tocsc(), rows[:, mask]
+
+
+def _gather(matrix, positions):
+    """The block of ``matrix`` at the entry positions held by ``positions``,
+    in the same sparse format."""
+    return type(positions)((matrix.data[positions.data], positions.indices,
+                            positions.indptr), shape=positions.shape)
+
+
+def _factor_free(matrix, mask, values, blocks=None):
+    """LU factors of the free/free block of the symmetric CSR ``matrix`` and
+    the constrained values' contribution ``K_fc @ values_c``, which moves to
+    the right-hand side.
+
+    ``blocks`` is ``_free_blocks`` of the matrix's pattern and ``mask``; it
+    is built here when not given.  The factorisation orders the block
+    symmetrically (minimum degree on ``A + A^T``) and takes its pivots on
+    the diagonal, so on a nonsingular symmetric block it is an ``L D L^T``
+    in disguise: ``perm_r == perm_c`` and the signs of ``U.diagonal()`` are
+    the signs of the block's eigenvalues.
     """
-    free = ~mask
-    reduced = matrix[free][:, free].tocsc()
-    bound = matrix[free][:, mask] @ values[mask]
+    free_free, free_fixed = blocks or _free_blocks(matrix, mask)
+    reduced = _gather(matrix, free_free)
+    bound = _gather(matrix, free_fixed) @ values[mask]
     try:
         lu = splu(reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
@@ -384,7 +442,7 @@ def _renormalized(values, floor=1e-8):
     return out
 
 
-def _warm_start(disc, mask, cvalues, rounds):
+def _warm_start(disc, mask, cvalues, rounds, blocks):
     """Renormalised smoothing-only field, sharpened by repeated
     smooth-and-renormalise sweeps through the factorised stiffness.
 
@@ -394,7 +452,7 @@ def _warm_start(disc, mask, cvalues, rounds):
     """
     free = ~mask
     x = cvalues.copy()
-    lu, bound = _factor_free(disc.stiffness, mask, cvalues)
+    lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
 
     def project(vec):
         values = _renormalized(disc.values_from_vector(vec))
@@ -435,8 +493,10 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     epsilon = options.resolve_epsilon(mesh)
     disc = Discretization(mesh, edge_frames, order)
     mask, cvalues, _ = constraint_dofs(mesh, options)
+    # every system of the solve has the stiffness's pattern
+    blocks = _free_blocks(disc.stiffness, mask)
 
-    x = _warm_start(disc, mask, cvalues, options.warmup_rounds)
+    x = _warm_start(disc, mask, cvalues, options.warmup_rounds, blocks)
 
     free = ~mask
     residuals = []
@@ -444,7 +504,7 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     prev_energy = None
     for _ in range(options.max_iter):
         matrix, rhs = disc.newton_system(x, epsilon)
-        lu, bound = _factor_free(matrix, mask, cvalues)
+        lu, bound = _factor_free(matrix, mask, cvalues, blocks)
         step = lu.solve(rhs[free] - bound) - x[free]
         # drop the factor before the next one is built: with two alive at
         # once the heap fragments and the peak memory grows every step

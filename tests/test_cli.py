@@ -1,4 +1,6 @@
+import contextlib
 import importlib.metadata as md
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crossfield
 from crossfield import cli
@@ -86,20 +89,26 @@ MSH_HEAD = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
 MSH_NODES = "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
 
 
-@pytest.mark.parametrize("body", [
-    "$Nodes\n3\n1 0 0 0\n2 1 0 0\n",
-    "$Nodes\nthree\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n",
-    MSH_NODES + "$Elements\n1\n1 2 2 0 1 1 2 9\n$EndElements\n",
-], ids=["truncated-nodes", "non-integer-count", "undefined-node"])
-def test_malformed_msh_exits_2(capsys, tmp_path, body):
+@pytest.mark.parametrize("body, message", [
+    ("$Nodes\n3\n1 0 0 0\n2 1 0 0\n", "malformed MSH file"),
+    ("$Nodes\nthree\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n",
+     "malformed MSH file"),
+    (MSH_NODES + "$Elements\n1\n1 2 2 0 1 1 2 9\n$EndElements\n",
+     "undefined node 9"),
+    ("$Nodes\n3\n1 0 0 0\n2 1 0 0\n2 0 1 0\n$EndNodes\n"
+     "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndElements\n", "node 2 is defined twice"),
+], ids=["truncated-nodes", "non-integer-count", "undefined-node",
+        "duplicate-node-id"])
+def test_malformed_msh_exits_2(capsys, tmp_path, body, message):
     path = tmp_path / "broken.msh"
     path.write_text(MSH_HEAD + body)
-    with pytest.raises(crossfield.MeshLoadError, match="broken.msh"):
+    with pytest.raises(crossfield.MeshLoadError, match="broken.msh") as info:
         crossfield.load_mesh(path)
+    assert message in str(info.value)
     for argv in (["topology", str(path)], ["solve", "--mesh", str(path)]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
-        assert "broken.msh" in err
+        assert "broken.msh" in err and message in err
 
 
 def test_non_finite_coordinates_exit_2(capsys, tmp_path):
@@ -450,3 +459,63 @@ def test_cli_entry_point_installed():
                  if e.group == "console_scripts"}
     assert installed == scripts
     assert dist.version == crossfield.__version__
+
+
+#: Small fixture files of each format, as ``tests/meshes.py`` writes them.
+FUZZ_FIXTURES = {
+    "square.off": (meshes.write_off, meshes.square_grid_tri(3)),
+    "octa.obj": (meshes.write_obj, meshes.octahedron()),
+    "disk.msh": (meshes.write_msh22, meshes.disk_hex(2)),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_texts(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    texts = {}
+    for name, (write, (verts, faces)) in FUZZ_FIXTURES.items():
+        write(folder / name, verts, faces)
+        texts[name] = (folder / name).read_text().splitlines(keepends=True)
+    return folder, texts
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_FIXTURES)))
+    kind = draw(st.sampled_from(["truncate", "drop", "duplicate", "token"]))
+    line = draw(st.integers(0, 10**6))
+    token = draw(st.integers(0, 10))
+    value = draw(st.sampled_from(["nan", "-1", "1e999", "x", ""]))
+    return name, kind, line, token, value
+
+
+def mutate(lines, kind, line, token, value):
+    i = line % len(lines)
+    if kind == "truncate":
+        return lines[:i]
+    if kind == "drop":
+        return lines[:i] + lines[i + 1:]
+    if kind == "duplicate":
+        return lines[:i + 1] + lines[i:]
+    words = lines[i].split()
+    if words:
+        words[token % len(words)] = value
+    return lines[:i] + [" ".join(words) + "\n"] + lines[i + 1:]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=mutations())
+def test_fuzzed_mesh_files_exit_with_a_documented_code(fuzz_texts, case):
+    """A truncated file, a dropped or repeated line, or one token replaced
+    by ``nan``, ``-1``, ``1e999``, ``x`` or nothing never raises out of
+    ``main``; it loads, or exits 2, or ends in a documented solve code."""
+    folder, texts = fuzz_texts
+    name, kind, line, token, value = case
+    path = folder / f"fuzzed-{name}"
+    path.write_text("".join(mutate(texts[name], kind, line, token, value)))
+    for argv in (["topology", str(path)],
+                 ["solve", "--mesh", str(path), "--max-iter", "3"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4, 5)

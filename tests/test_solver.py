@@ -1,9 +1,11 @@
 import logging
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, diags
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix, csr_matrix, diags
 
 from crossfield import (CR_GRADIENTS, Discretization, FieldSolution,
                         InvalidMeshError, NewtonOptions, SingularFactorError,
@@ -11,8 +13,11 @@ from crossfield import (CR_GRADIENTS, Discretization, FieldSolution,
                         build_edge_frames,
                         constraint_dofs, cr_shapes, gl_energy, gl_residual,
                         newton_solve,
-                        extract_singularities, triangle_frames)
-from crossfield.solver import _factor_free
+                        extract_singularities, poincare_hopf_check,
+                        triangle_frames)
+from crossfield.analysis import angle_defects
+from crossfield.frames import TriangleFrames
+from crossfield.solver import _factor_free, _free_blocks, _gather
 
 import meshes
 
@@ -114,6 +119,148 @@ def test_newton_rhs_is_full_newton_step():
     x = rng.normal(size=disc.n_dofs)
     matrix, rhs = disc.newton_system(x, 0.5)
     assert np.abs(matrix @ x - disc.residual(x, 0.5) - rhs).max() < 1e-12
+
+
+# -- fixed-pattern assembly, bit for bit --------------------------------------
+
+def term_by_term_blocks_to_edges(tri_frames, p, q, v):
+    """``TriangleFrames.blocks_to_edges`` written out term by term, with
+    every triple product evaluated where it appears."""
+    ci, si = tri_frames.cos[:, :, None], tri_frames.sin[:, :, None]
+    cj, sj = tri_frames.cos[:, None, :], tri_frames.sin[:, None, :]
+    k = np.empty((len(tri_frames.cos), 6, 6))
+    k[:, :3, :3] = ci * p * cj - ci * q * sj - si * q * cj + si * v * sj
+    k[:, :3, 3:] = ci * p * sj + ci * q * cj - si * q * sj - si * v * cj
+    k[:, 3:, :3] = si * p * cj - si * q * sj + ci * q * cj - ci * v * sj
+    k[:, 3:, 3:] = si * p * sj + si * q * cj + ci * q * sj + ci * v * cj
+    return k
+
+
+def coo_newton_system(disc, x, eps):
+    """The Newton system assembled from its element blocks by COO to CSR
+    conversion, with the right-hand side scattered by ``np.add.at``."""
+    _, f1, f2, aw = disc._quadrature(x, eps)
+
+    def mass(rho):
+        return np.einsum("tq,qm,qn->tmn", aw * rho, disc.shape_table,
+                         disc.shape_table)
+
+    stiff = disc.stiffness_blocks
+    k = term_by_term_blocks_to_edges(
+        disc.tri_frames, stiff + mass(3.0 * f1 * f1 + f2 * f2 - 1.0),
+        2.0 * mass(f1 * f2), stiff + mass(f1 * f1 + 3.0 * f2 * f2 - 1.0))
+    rows = np.repeat(disc.tri_dofs, 6, axis=1).ravel()
+    cols = np.tile(disc.tri_dofs, (1, 6)).ravel()
+    matrix = coo_matrix((k.ravel(), (rows, cols)),
+                        shape=(disc.n_dofs, disc.n_dofs)).tocsr()
+    norm2 = f1 * f1 + f2 * f2
+    h1, h2 = disc.tri_frames.to_edges(
+        np.einsum("tq,qm->tm", aw * 2.0 * f1 * norm2, disc.shape_table),
+        np.einsum("tq,qm->tm", aw * 2.0 * f2 * norm2, disc.shape_table))
+    rhs = np.zeros(disc.n_dofs)
+    np.add.at(rhs, disc.tri_dofs, np.concatenate([h1, h2], axis=1))
+    return matrix, rhs
+
+
+@pytest.fixture(scope="module", params=["delaunay-0", "delaunay-1",
+                                        "delaunay-2", "sphere"])
+def assembly_mesh(request, sphere_mesh):
+    if request.param == "sphere":
+        return sphere_mesh
+    seed = int(request.param[-1])
+    return meshes.surface(meshes.random_planar_delaunay, 40 + 25 * seed,
+                          seed=31 + seed)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("eps", [0.1, 0.4])
+def test_newton_system_equals_coo_assembly_bit_for_bit(assembly_mesh, order, eps):
+    disc = Discretization(assembly_mesh, build_edge_frames(assembly_mesh), order)
+    x = np.random.default_rng(order).uniform(-1.0, 1.0, size=disc.n_dofs)
+    matrix, rhs = disc.newton_system(x, eps)
+    expected, expected_rhs = coo_newton_system(disc, x, eps)
+    assert np.array_equal(matrix.indptr, expected.indptr)
+    assert np.array_equal(matrix.indices, expected.indices)
+    assert matrix.data.tobytes() == expected.data.tobytes()
+    assert rhs.tobytes() == expected_rhs.tobytes()
+
+
+def test_newton_system_keeps_the_signs_of_zeros():
+    """At the zero field the order-6 L-shape system has entries that COO
+    assembly leaves at -0.0; adding from +0.0 would turn them into +0.0."""
+    mesh = meshes.surface(meshes.lshape_tri, 6)
+    disc = Discretization(mesh, build_edge_frames(mesh), 6)
+    x = np.zeros(disc.n_dofs)
+    expected, _ = coo_newton_system(disc, x, 0.3)
+    assert np.signbit(expected.data[expected.data == 0.0]).any()
+    assert disc.newton_system(x, 0.3)[0].data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("case", ["aligned-square", "pinned-sphere"])
+def test_gathered_free_blocks_equal_slicing(case, sphere_mesh):
+    mesh = (aligned_square_case(10)[0] if case == "aligned-square"
+            else sphere_mesh)
+    disc = Discretization(mesh, build_edge_frames(mesh), 4)
+    mask, values, _ = constraint_dofs(mesh, NewtonOptions(epsilon=0.2))
+    assert 0 < mask.sum() < len(mask)
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=disc.n_dofs)
+    matrix, _ = disc.newton_system(x, 0.2)
+    free = ~mask
+    expected = matrix[free][:, free].tocsc()
+    expected_bound = matrix[free][:, mask] @ values[mask]
+    blocks = _free_blocks(disc.stiffness, mask)
+    for got, want in ((_gather(matrix, blocks[0]), expected),
+                      (_gather(disc.stiffness, blocks[0]),
+                       disc.stiffness[free][:, free].tocsc())):
+        assert got.format == "csc" and got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+    for maps in (blocks, None):
+        _, bound = _factor_free(matrix, mask, values, maps)
+        assert np.array_equal(bound, expected_bound)
+
+
+def test_blocks_to_edges_equals_term_by_term_products():
+    rng = np.random.default_rng(17)
+    alpha = rng.uniform(-np.pi, np.pi, size=(200, 3))
+    alpha[:, 0] = 0.0
+    for order in (4, 6):
+        tf = TriangleFrames(order, alpha, np.cos(order * alpha),
+                            np.sin(order * alpha))
+        p, q, v = rng.normal(size=(3, 200, 3, 3))
+        for blocks in ((p, q, v), (p, 0.0, v)):
+            assert (tf.blocks_to_edges(*blocks).tobytes()
+                    == term_by_term_blocks_to_edges(tf, *blocks).tobytes())
+
+
+def test_solve_call_structure(monkeypatch):
+    """Per Newton step one assembly, one residual, one energy and one
+    factorisation (plus one for the warm start); one quadrature of each
+    iterate, shared by its residual, energy and Newton system."""
+    from crossfield import solver
+
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("newton_system", "residual", "energy", "_quadrature"):
+        count(Discretization, name)
+    count(solver, "splu")
+    mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
+    field, log = newton_solve(mesh, build_edge_frames(mesh), 4,
+                              NewtonOptions(epsilon=0.3, tol=1e-12))
+    steps = log.iterations
+    assert log.converged and steps > 2
+    assert calls == {"newton_system": steps, "residual": steps,
+                     "energy": steps, "_quadrature": steps + 1,
+                     "splu": steps + 1}
 
 
 # -- energies and gradients ---------------------------------------------------
@@ -306,6 +453,84 @@ def test_vertex_relabel_leaves_directions(square_cross):
         # even symmetry order: flipping an edge moves the frame by a half
         # turn, which the representation pair cannot see
         assert np.abs(field.values[e] - match).max() < 1e-9
+
+
+#: Boundary-aligned fixtures of the relabelling property: generator, sizes
+#: and epsilon.  No edge is pinned, so the solve does not depend on edge ids.
+RELABEL_FIXTURES = {
+    "square": (meshes.square_grid_tri, (4, 8), 0.2),
+    "disk": (meshes.disk_hex, (3, 6), 0.25),
+    "lshape": (meshes.lshape_tri, (3, 6), 0.2),
+}
+
+
+def relabel_outcome(mesh, order, eps):
+    frames = build_edge_frames(mesh)
+    field, log = newton_solve(mesh, frames, order,
+                              NewtonOptions(epsilon=eps, tol=1e-12))
+    assert log.converged
+    sings = extract_singularities(mesh, triangle_frames(mesh, frames, order),
+                                  field)
+    corners = poincare_hopf_check(mesh, sings, field).corner_sum
+    return field.values, sorted(s.index for s in sings), corners
+
+
+@lru_cache(maxsize=None)
+def relabel_reference(name, size, order):
+    generator, sizes, eps = RELABEL_FIXTURES[name]
+    verts, tris = generator(sizes[size])
+    return (verts, tris) + relabel_outcome(SurfaceMesh(verts, tris), order, eps)
+
+
+def has_tied_corner(mesh, order):
+    """A boundary corner whose turn is half a multiple of ``1/order`` (a
+    right angle at order 6): which way its triangle winds is a tie."""
+    beta = 2.0 * np.pi - angle_defects(mesh)[mesh.boundary_vertex]
+    turns = order * (np.pi - beta) / (2.0 * np.pi)
+    return bool((np.abs(np.abs(turns - np.rint(turns)) - 0.5) < 1e-6).any())
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(RELABEL_FIXTURES)), size=st.integers(0, 1),
+       order=st.sampled_from([4, 6]), seed=st.integers(0, 2**32 - 1))
+def test_relabelling_leaves_solution(name, size, order, seed):
+    """Shuffling the triangles, rotating each triangle's corners and
+    relabelling the vertices moves the solved field only by rounding
+    (at most 2e-11 measured; bound 1e-9) once it is mapped through the edge
+    permutation.  Relabelling reverses some edge directions, which the
+    representation pair of an even order cannot see."""
+    verts, tris, values, indices, corners = relabel_reference(name, size, order)
+    rng = np.random.default_rng(seed)
+    tris = tris[rng.permutation(len(tris))]
+    turn = (np.arange(3) + rng.integers(3, size=len(tris))[:, None]) % 3
+    tris = np.take_along_axis(tris, turn, axis=1)
+    perm = rng.permutation(len(verts))            # new label of each vertex
+    relabeled = SurfaceMesh(verts[np.argsort(perm)], perm[tris])
+    new_values, new_indices, new_corners = relabel_outcome(
+        relabeled, order, RELABEL_FIXTURES[name][2])
+
+    original = SurfaceMesh(verts, tris)
+    n = len(verts)
+    old_ends = np.sort(np.argsort(perm)[relabeled.edges], axis=1)
+    keys = original.edges[:, 0] * n + original.edges[:, 1]
+    edge_map = np.searchsorted(keys, old_ends[:, 0] * n + old_ends[:, 1])
+    assert np.array_equal(keys[edge_map], old_ends[:, 0] * n + old_ends[:, 1])
+    flipped = perm[original.edges[edge_map, 0]] != relabeled.edges[:, 0]
+    assert flipped.any()
+    assert np.abs(new_values - values[edge_map]).max() < 1e-9
+    assert new_corners == corners
+    if not has_tied_corner(original, order):
+        assert new_indices == indices
+
+
+@pytest.mark.xfail(strict=False, reason="a right-angled boundary corner at "
+                   "order 6 is a winding tie that rounding breaks")
+def test_relabelling_keeps_singularities_at_tied_corners():
+    verts, tris, _, indices, _ = relabel_reference("square", 0, 6)
+    rng = np.random.default_rng(0)
+    perm = rng.permutation(len(verts))
+    relabeled = SurfaceMesh(verts[np.argsort(perm)], perm[tris])
+    assert relabel_outcome(relabeled, 6, 0.2)[1] == indices
 
 
 def test_residual_vector_is_energy_gradient_of_converged(disk_cross):
