@@ -20,9 +20,10 @@ integrands exactly.
 The nonlinear solve starts from the smoothing-only solution, sharpened by
 a few smooth-and-renormalise sweeps that let the vortex structure settle,
 and then iterates Newton steps built from the exact second derivative of
-the energy.  Each step factors the symmetric free-dof Hessian once, with a
-symmetric fill-reducing ordering and pivots taken on the diagonal, and a
-step larger than ``STEP_CAP`` in any component is scaled down to it;
+the energy.  Each step factors the symmetric free-dof Hessian once, with
+pivots taken on the diagonal and the symmetric fill-reducing ordering that
+the warm start's factor of the stiffness computed for the whole solve, and
+a step larger than ``STEP_CAP`` in any component is scaled down to it;
 convergence is declared on the 2-norm of the exact energy gradient, never
 on the linearised residual, so a converged field is a genuine stationary
 point of the functional.
@@ -36,7 +37,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import spsolve  # unused here; perfbench/tracing.py wraps it
 
@@ -390,13 +391,47 @@ def _positions(pattern):
                        pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
-def _free_blocks(pattern, mask):
+class _FreeBlocks(NamedTuple):
     """Entry positions of the free/free block (CSC) and of the
-    free/constrained block (CSR) of any matrix with the CSR pattern of
-    ``pattern``; ``_gather`` fills them with a matrix's values, entry for
-    entry as slicing the matrix would."""
+    free/constrained block (CSR) of any matrix with one CSR pattern;
+    ``_gather`` fills them with a matrix's values.  ``dofs`` are the free
+    dofs in the order of the blocks' rows and columns, and ``permc_spec`` is
+    the column ordering SuperLU gives the free/free block: minimum degree
+    while the blocks are in dof order, none once they are in elimination
+    order."""
+
+    free_free: csc_matrix
+    free_fixed: csr_matrix
+    dofs: np.ndarray
+    permc_spec: str
+
+
+def _free_blocks(pattern, mask):
+    """The free blocks of the CSR pattern of ``pattern``, in dof order,
+    entry for entry as slicing a matrix of that pattern would give them."""
     rows = _positions(pattern)[~mask]
-    return rows[:, ~mask].tocsc(), rows[:, mask]
+    return _FreeBlocks(rows[:, ~mask].tocsc(), rows[:, mask],
+                       np.flatnonzero(~mask), "MMD_AT_PLUS_A")
+
+
+def _in_elimination_order(blocks, perm_c):
+    """``blocks`` (in dof order) renumbered into the elimination order of a
+    factor of their free/free block, whose ``perm_c[i]`` is the position of
+    free dof ``i``.
+
+    The free/free block takes the columns in that order and renumbers its
+    rows, but each column keeps its rows in ascending dof order.  SuperLU's
+    column searches visit a column's rows in their stored order, so a
+    ``NATURAL`` factor of the renumbered block runs every update of the
+    original ordered factor in the same order and gives the same bits.  The
+    returned arrays are new ones: none is a view of ``perm_c``, which may
+    belong to a factor."""
+    order = np.argsort(perm_c)
+    free_free = blocks.free_free[:, order]
+    free_free = csc_matrix((free_free.data, perm_c[free_free.indices],
+                            free_free.indptr), shape=free_free.shape)
+    return _FreeBlocks(free_free, blocks.free_fixed[order], blocks.dofs[order],
+                       "NATURAL")
 
 
 def _gather(matrix, positions):
@@ -409,20 +444,24 @@ def _gather(matrix, positions):
 def _factor_free(matrix, mask, values, blocks=None):
     """LU factors of the free/free block of the symmetric CSR ``matrix`` and
     the constrained values' contribution ``K_fc @ values_c``, which moves to
-    the right-hand side.
+    the right-hand side, both in the order of ``blocks.dofs``.
 
-    ``blocks`` is ``_free_blocks`` of the matrix's pattern and ``mask``; it
-    is built here when not given.  The factorisation orders the block
-    symmetrically (minimum degree on ``A + A^T``) and takes its pivots on
-    the diagonal, so on a nonsingular symmetric block it is an ``L D L^T``
-    in disguise: ``perm_r == perm_c`` and the signs of ``U.diagonal()`` are
-    the signs of the block's eigenvalues.
+    ``blocks`` (``_free_blocks`` of the matrix's pattern and ``mask``, built
+    here when not given) fix the ordering: in dof order the block is
+    ordered symmetrically (minimum degree on ``A + A^T``), in an earlier
+    factor's elimination order it is factored as it stands.  Pivots are
+    taken on the diagonal, so on a nonsingular symmetric block the factor
+    is an ``L D L^T`` in disguise: ``perm_r == perm_c`` and the signs of
+    ``U.diagonal()`` are the signs of the block's eigenvalues.
     """
-    free_free, free_fixed = blocks or _free_blocks(matrix, mask)
-    reduced = _gather(matrix, free_free)
-    bound = _gather(matrix, free_fixed) @ values[mask]
+    blocks = blocks or _free_blocks(matrix, mask)
+    reduced = _gather(matrix, blocks.free_free)
+    # each entry sits once; the order of a column's rows is deliberate (see
+    # _in_elimination_order), and splu would sort a block not marked canonical
+    reduced.has_canonical_format = True
+    bound = _gather(matrix, blocks.free_fixed) @ values[mask]
     try:
-        lu = splu(reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(reduced, permc_spec=blocks.permc_spec, diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         if "singular" not in str(exc):
@@ -444,13 +483,16 @@ def _renormalized(values, floor=1e-8):
 
 def _warm_start(disc, mask, cvalues, rounds, blocks):
     """Renormalised smoothing-only field, sharpened by repeated
-    smooth-and-renormalise sweeps through the factorised stiffness.
+    smooth-and-renormalise sweeps through the factorised stiffness, and
+    ``blocks`` (in dof order) in the elimination order of that factor.
 
     The sweeps let the field's zeros migrate to their natural positions
     before the stiffer penalty dynamics freeze them in place; each sweep
-    reuses one factorisation, so the warm start costs little.
+    reuses one factorisation, so the warm start costs little.  Every system
+    of the solve has the stiffness's pattern, and a minimum-degree ordering
+    reads only the pattern, so this factor's ordering serves them all.
     """
-    free = ~mask
+    free = blocks.dofs
     x = cvalues.copy()
     lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
 
@@ -466,7 +508,11 @@ def _warm_start(disc, mask, cvalues, rounds, blocks):
     for _ in range(rounds):
         x[free] = lu.solve((m_diag * x)[free] - bound)
         x = project(x)
-    return x
+    # lu.perm_c is a view that keeps the whole factor alive: copy it and free
+    # the factor before the ordered blocks are built
+    perm_c = lu.perm_c.copy()
+    del lu
+    return x, _in_elimination_order(blocks, perm_c)
 
 
 def newton_solve(mesh, edge_frames, order=4, options=None):
@@ -494,22 +540,23 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     disc = Discretization(mesh, edge_frames, order)
     mask, cvalues, _ = constraint_dofs(mesh, options)
     # every system of the solve has the stiffness's pattern
-    blocks = _free_blocks(disc.stiffness, mask)
-
-    x = _warm_start(disc, mask, cvalues, options.warmup_rounds, blocks)
+    x, blocks = _warm_start(disc, mask, cvalues, options.warmup_rounds,
+                            _free_blocks(disc.stiffness, mask))
 
     free = ~mask
+    ordered = blocks.dofs
     residuals = []
     converged = False
     prev_energy = None
     for _ in range(options.max_iter):
         matrix, rhs = disc.newton_system(x, epsilon)
         lu, bound = _factor_free(matrix, mask, cvalues, blocks)
-        step = lu.solve(rhs[free] - bound) - x[free]
+        step = lu.solve(rhs[ordered] - bound) - x[ordered]
         # drop the factor before the next one is built: with two alive at
         # once the heap fragments and the peak memory grows every step
         del lu
-        x[free] += step / max(1.0, np.abs(step).max(initial=0.0) / STEP_CAP)
+        x[ordered] += step / max(1.0, np.abs(step).max(initial=0.0) / STEP_CAP)
+        # summed in dof order: a permuted vector's norm rounds differently
         res = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
         residuals.append(res)
         energy = disc.energy(x, epsilon).total

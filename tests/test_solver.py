@@ -1,4 +1,5 @@
 import logging
+import sys
 from functools import lru_cache
 from math import factorial
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix, csr_matrix, diags
+from scipy.sparse.linalg import SuperLU
 
 from crossfield import (CR_GRADIENTS, Discretization, FieldSolution,
                         InvalidMeshError, NewtonOptions, SingularFactorError,
@@ -15,9 +17,11 @@ from crossfield import (CR_GRADIENTS, Discretization, FieldSolution,
                         newton_solve,
                         extract_singularities, poincare_hopf_check,
                         triangle_frames)
+from crossfield import solver as solver_module
 from crossfield.analysis import angle_defects
 from crossfield.frames import TriangleFrames
-from crossfield.solver import _factor_free, _free_blocks, _gather
+from crossfield.solver import (_factor_free, _free_blocks, _gather,
+                               _in_elimination_order, _warm_start)
 
 import meshes
 
@@ -253,6 +257,13 @@ def test_solve_call_structure(monkeypatch):
     for name in ("newton_system", "residual", "energy", "_quadrature"):
         count(Discretization, name)
     count(solver, "splu")
+    orderings = []
+    splu = solver.splu
+
+    def ordering_recorded(*args, permc_spec, **kwargs):
+        orderings.append(permc_spec)
+        return splu(*args, permc_spec=permc_spec, **kwargs)
+    monkeypatch.setattr(solver, "splu", ordering_recorded)
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
     field, log = newton_solve(mesh, build_edge_frames(mesh), 4,
                               NewtonOptions(epsilon=0.3, tol=1e-12))
@@ -261,6 +272,8 @@ def test_solve_call_structure(monkeypatch):
     assert calls == {"newton_system": steps, "residual": steps,
                      "energy": steps, "_quadrature": steps + 1,
                      "splu": steps + 1}
+    # the warm start's factor computes the solve's only ordering
+    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * steps
 
 
 # -- energies and gradients ---------------------------------------------------
@@ -584,6 +597,93 @@ def test_exactly_singular_system_raises_typed_error():
     mask = np.array([False, False, True])
     with pytest.raises(SingularFactorError, match="singular"):
         _factor_free(matrix, mask, np.zeros(3))
+
+
+@pytest.fixture(scope="module", params=["sphere-4", "sphere-6", "lshape-4"])
+def newton_in_elimination_order(request, sphere_mesh):
+    """The first Newton system of a solve, the blocks in the elimination
+    order its warm start computed, and the warm start's factor."""
+    name, order = request.param.split("-")
+    mesh = (sphere_mesh if name == "sphere"
+            else meshes.surface(meshes.lshape_tri, 8))
+    disc = Discretization(mesh, build_edge_frames(mesh), int(order))
+    mask, values, _ = constraint_dofs(mesh, NewtonOptions(epsilon=0.1))
+    factors = []
+    original = solver_module.splu
+
+    def recorded(*args, **kwargs):
+        factors.append(original(*args, **kwargs))
+        return factors[-1]
+    solver_module.splu = recorded
+    try:
+        x, blocks = _warm_start(disc, mask, values, 10,
+                                _free_blocks(disc.stiffness, mask))
+    finally:
+        solver_module.splu = original
+    matrix, rhs = disc.newton_system(x, 0.1)
+    return matrix, rhs, mask, values, blocks, factors
+
+
+def test_factor_in_elimination_order_repeats_the_ordering_factor(
+        newton_in_elimination_order):
+    """The solve factors each Newton system in the elimination order of its
+    warm start with no ordering of its own; the factor has the bits of the
+    self-ordering factor, because every column keeps its rows in dof order.
+
+    ``splu`` calls ``sum_duplicates()``, which sorts the rows of a block not
+    marked canonical; the rows are unique and only their order is
+    deliberate, and a block with sorted rows fails this test.
+    """
+    matrix, rhs, mask, values, blocks, _ = newton_in_elimination_order
+    assert blocks.permc_spec == "NATURAL"
+    ref, ref_bound = _factor_free(matrix, mask, values)
+    free_dofs = np.flatnonzero(~mask)
+    # the Newton system's own ordering is the warm start's
+    assert np.array_equal(free_dofs[np.argsort(ref.perm_c)], blocks.dofs)
+    lu, bound = _factor_free(matrix, mask, values, blocks)
+    identity = np.arange(len(blocks.dofs))
+    assert np.array_equal(lu.perm_c, identity)
+    assert np.array_equal(lu.perm_r, identity)
+    order = np.searchsorted(free_dofs, blocks.dofs)
+    assert bound.tobytes() == ref_bound[order].tobytes()
+    b = rhs[~mask] - ref_bound
+    assert lu.solve(b[order]).tobytes() == ref.solve(b)[order].tobytes()
+    assert lu.U.diagonal().tobytes() == ref.U.diagonal().tobytes()
+    assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
+
+
+def test_elimination_order_owns_its_memory(newton_in_elimination_order):
+    """``lu.perm_c`` is a view that keeps its whole factor alive; nothing
+    the Newton loop keeps may lead back to the warm start's factor."""
+    *_, blocks, factors = newton_in_elimination_order
+    arrays = [blocks.dofs] + [getattr(block, name)
+                              for block in (blocks.free_free, blocks.free_fixed)
+                              for name in ("data", "indices", "indptr")]
+    for array in arrays:
+        while array is not None:
+            assert not isinstance(array, SuperLU)
+            array = getattr(array, "base", None)
+    # held only by the list and by getrefcount's own argument (counted
+    # outside the assert, whose rewriting keeps its operands)
+    references = sys.getrefcount(factors[0])
+    assert len(factors) == 1 and references == 2
+
+
+def test_exactly_singular_system_in_elimination_order_raises_typed_error():
+    pattern = csr_matrix(np.array([[4.0, 1.0, 0.0],
+                                   [1.0, 4.0, 0.5],
+                                   [0.0, 0.5, 2.0]]))
+    singular = csr_matrix(np.array([[1.0, 1.0, 0.0],
+                                    [1.0, 1.0, 0.5],
+                                    [0.0, 0.5, 2.0]]))
+    assert np.array_equal(singular.indices, pattern.indices)
+    mask = np.array([False, False, True])
+    blocks = _free_blocks(pattern, mask)
+    lu, _ = _factor_free(pattern, mask, np.zeros(3), blocks)
+    blocks = _in_elimination_order(blocks, lu.perm_c)
+    assert blocks.permc_spec == "NATURAL"
+    with pytest.raises(SingularFactorError, match="singular"):
+        _factor_free(singular, mask, np.zeros(3), blocks)
 
 
 def test_asterisk_sphere_ends_at_a_minimum(sphere_mesh):
