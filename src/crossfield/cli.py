@@ -33,6 +33,15 @@ def _dump(data):
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+def _emit(text, path):
+    """Write ``text`` to the file ``path``, or to stdout when it is None."""
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_topology(args):
     report = topology_report(load_mesh(args.mesh))
     print(_dump(report.to_dict()))
@@ -141,12 +150,7 @@ def _cmd_sweep(args):
     angles = np.linspace(0.0, np.pi / 2.0, args.samples)
     rows = tilt_sweep(height=args.height, angles=angles)
     lines = ["angle,energy"] + [f"{a:.17g},{e:.17g}" for a, e in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -162,12 +166,7 @@ def _cmd_fekete(args):
         "energy": log_interaction_energy(config),
         "points": [[float(c) for c in p] for p in config.points],
     }
-    text = _dump(payload)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+    _emit(_dump(payload) + "\n", args.out)
     return 0
 
 

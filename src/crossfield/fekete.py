@@ -32,6 +32,9 @@ __all__ = [
 #: vertices of a cube inscribed in the unit sphere.
 DEFAULT_SQUARE_HEIGHT = 1.0 / np.sqrt(3.0)
 
+#: Seeded random starts of the log-energy descent in ``fekete_optimize``.
+_RESTARTS = 4
+
 
 @dataclass(frozen=True)
 class PointConfiguration:
@@ -150,7 +153,7 @@ def _log_product_objective(x, count):
     return value, grad.ravel()
 
 
-def fekete_optimize(count, seed=0, restarts=4):
+def fekete_optimize(count, seed=0):
     """Minimise the logarithmic energy of ``count`` unit-index points on
     the sphere.
 
@@ -167,7 +170,7 @@ def fekete_optimize(count, seed=0, restarts=4):
     best = None
     best_value = np.inf
     best_grad = np.inf
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         x0 = rng.normal(size=(count, 3))
         x0 /= np.linalg.norm(x0, axis=1)[:, None]
         result = minimize(

@@ -204,16 +204,18 @@ class SurfaceMesh(_FacetMesh):
 
     def __init__(self, vertices, triangles):
         super().__init__(vertices, triangles, "triangles")
-        areas = self.triangle_areas()
-        longest = np.zeros(len(self.facets))
-        for i in range(3):
-            a = self.vertices[self.facets[:, i]]
-            b = self.vertices[self.facets[:, (i + 1) % 3]]
-            longest = np.maximum(longest, np.linalg.norm(b - a, axis=1))
-        degenerate = areas < 1e-12 * longest**2
+        p = self.vertices[self.facets]
+        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        two_area = np.linalg.norm(cross, axis=1)
+        longest = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2).max(axis=1)
+        self._areas = 0.5 * two_area
+        degenerate = self._areas < 1e-12 * longest**2
         if degenerate.any():
             bad = np.flatnonzero(degenerate)[:10]
             raise InvalidMeshError(f"degenerate (zero-area) triangles: {bad.tolist()}")
+        self._normals = cross / two_area[:, None]
+        for arr in (self._normals, self._areas):
+            arr.setflags(write=False)
 
     @property
     def triangles(self):
@@ -223,21 +225,12 @@ class SurfaceMesh(_FacetMesh):
     def n_triangles(self):
         return len(self.facets)
 
-    def triangle_corner_vectors(self):
-        """(m, 2, 3) arrays: the two edge vectors leaving each first vertex."""
-        p = self.vertices[self.facets]
-        return np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=1)
-
     def triangle_normals(self):
         """Unit outward normals, from the counterclockwise vertex order."""
-        e = self.triangle_corner_vectors()
-        cr = np.cross(e[:, 0], e[:, 1])
-        nrm = np.linalg.norm(cr, axis=1)
-        return cr / nrm[:, None]
+        return self._normals
 
     def triangle_areas(self):
-        e = self.triangle_corner_vectors()
-        return 0.5 * np.linalg.norm(np.cross(e[:, 0], e[:, 1]), axis=1)
+        return self._areas
 
     def triangle_centroids(self):
         return self.vertices[self.facets].mean(axis=1)
@@ -338,27 +331,19 @@ def topology_report(mesh):
     """Euler characteristic, genus, and boundary-loop count of a mesh.
 
     ``chi`` is computed from the vertex/edge/facet counts; the genus is
-    resolved from ``chi = 2 - 2g - b`` per connected component.
+    resolved from ``chi = 2 - 2g - b`` per connected component.  A
+    connected mesh gets its one component's report.
     """
     loops = boundary_loops(mesh)
     count, labels = mesh.vertex_component_labels()
-    if count == 1:
-        return _component_report(mesh.n_vertices, mesh.n_edges, mesh.n_facets,
-                                 int(mesh.boundary_edge.sum()), len(loops))
-
     edge_labels = labels[mesh.edges[:, 0]]
-    facet_labels = labels[mesh.facets[:, 0]]
-    loop_labels = np.array([labels[mesh.edges[loop[0], 0]] for loop in loops],
-                           dtype=np.int64)
-    components = []
-    for c in range(count):
-        components.append(_component_report(
-            int((labels == c).sum()),
-            int((edge_labels == c).sum()),
-            int((facet_labels == c).sum()),
-            int((edge_labels[mesh.boundary_edge] == c).sum()),
-            int((loop_labels == c).sum()),
-        ))
+    loop_labels = edge_labels[np.array([loop[0] for loop in loops], dtype=np.int64)]
+    counts = [np.bincount(x, minlength=count) for x in (
+        labels, edge_labels, labels[mesh.facets[:, 0]],
+        edge_labels[mesh.boundary_edge], loop_labels)]
+    components = tuple(_component_report(*map(int, c)) for c in zip(*counts))
+    if count == 1:
+        return components[0]
     return TopologyReport(
         chi=sum(c.chi for c in components),
         genus=sum(c.genus for c in components),
@@ -367,7 +352,7 @@ def topology_report(mesh):
         n_e=mesh.n_edges,
         n_f=mesh.n_facets,
         n_b=int(mesh.boundary_edge.sum()),
-        components=tuple(components),
+        components=components,
     )
 
 
@@ -493,7 +478,7 @@ def _parse_msh(path, lines):
                 nid = int(tok[0])
                 if nid in nodes:
                     raise MeshLoadError(f"{path}: node {nid} is defined twice")
-                nodes[nid] = tuple(float(t) for t in tok[1:4])
+                nodes[nid] = _coords(tok[1:])
             i += count + 3
         elif tag == "$Elements":
             count = int(lines[i + 1])

@@ -200,12 +200,9 @@ class Discretization:
         p = mesh.vertices[mesh.triangles]
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
-        normal = np.cross(e1, e2)
-        two_area = np.linalg.norm(normal, axis=1)
-        self.areas = 0.5 * two_area
+        self.areas = mesh.triangle_areas()
         u = e1 / np.linalg.norm(e1, axis=1)[:, None]
-        n_hat = normal / two_area[:, None]
-        v = np.cross(n_hat, u)
+        v = np.cross(mesh.triangle_normals(), u)
         q1x = np.linalg.norm(e1, axis=1)
         q2x = (e2 * u).sum(axis=1)
         q2y = (e2 * v).sum(axis=1)

@@ -97,8 +97,14 @@ MSH_NODES = "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
      "undefined node 9"),
     ("$Nodes\n3\n1 0 0 0\n2 1 0 0\n2 0 1 0\n$EndNodes\n"
      "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndElements\n", "node 2 is defined twice"),
+    ("$Nodes\n3\n1 0 0\n2 1 0\n3 0 1\n$EndNodes\n"
+     "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndElements\n",
+     "fewer than three coordinates"),
+    ("$Nodes\n3\n1 0 0 0\n2 1 0\n3 0 1 0\n$EndNodes\n"
+     "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndElements\n",
+     "fewer than three coordinates"),
 ], ids=["truncated-nodes", "non-integer-count", "undefined-node",
-        "duplicate-node-id"])
+        "duplicate-node-id", "two-coordinate-nodes", "one-short-node"])
 def test_malformed_msh_exits_2(capsys, tmp_path, body, message):
     path = tmp_path / "broken.msh"
     path.write_text(MSH_HEAD + body)
@@ -398,6 +404,20 @@ def test_sweep_csv(capsys, tmp_path):
     best = rows[np.argmin(rows[:, 1]), 0]
     step = rows[1, 0] - rows[0, 0]
     assert abs(best - np.pi / 4) <= step + 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--samples", "5"),
+    ("fekete", "--count", "4", "--seed", "1"),
+], ids=["sweep", "fekete"])
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.txt"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert printed == ""
+    assert path.read_bytes() == out.encode()
 
 
 def test_sweep_sample_validation(capsys):

@@ -205,6 +205,53 @@ def test_disconnected_components_reported():
     assert all(c.chi == 2 for c in report.components)
 
 
+def test_topology_components_are_the_pieces_alone():
+    pieces = [meshes.octahedron(), meshes.disk_hex(3), meshes.torus_tri(8, 6)]
+    verts, tris, offset = [], [], 0
+    for k, (v, t) in enumerate(pieces):
+        verts.append(v + np.array([5.0 * k, 0.0, 0.0]))
+        tris.append(np.asarray(t) + offset)
+        offset += len(v)
+    report = topology_report(SurfaceMesh(np.vstack(verts), np.vstack(tris)))
+    alone = [topology_report(SurfaceMesh(v, t)) for v, t in pieces]
+    assert report.components == tuple(alone)
+    for name in ("chi", "genus", "boundary_loops", "n", "n_e", "n_f", "n_b"):
+        assert getattr(report, name) == sum(getattr(r, name) for r in alone), name
+
+
+@pytest.mark.parametrize("mesh", [
+    meshes.surface(meshes.octahedron),
+    meshes.surface(meshes.disk_hex, 3),
+    meshes.quad(meshes.cylinder_quads, 8, 5),
+], ids=["octahedron", "disk", "cylinder-quads"])
+def test_connected_mesh_reports_no_components(mesh):
+    report = topology_report(mesh)
+    assert report.components == ()
+    assert "components" not in report.to_dict()
+
+
+@pytest.mark.parametrize("mesh", [
+    meshes.surface(meshes.octahedron),
+    meshes.surface(meshes.square_grid_tri, 5),
+    meshes.surface(meshes.disk_hex, 4),
+    meshes.surface(meshes.torus_tri, 8, 6),
+    meshes.surface(meshes.lshape_tri, 3),
+    meshes.surface(meshes.golden_spiral_sphere, 200),
+], ids=["octahedron", "square", "disk", "torus", "lshape", "sphere"])
+def test_triangle_geometry_is_stored_once(mesh):
+    p = mesh.vertices[mesh.triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    two_area = np.linalg.norm(cross, axis=1)
+    normals, areas = mesh.triangle_normals(), mesh.triangle_areas()
+    assert np.array_equal(normals, cross / two_area[:, None])
+    assert np.array_equal(areas, 0.5 * two_area)
+    assert normals is mesh.triangle_normals() and areas is mesh.triangle_areas()
+    for arr in (normals, areas):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 @pytest.mark.parametrize("mesh,n_evf", [
     (meshes.surface(meshes.octahedron), 3),
     (meshes.surface(meshes.square_grid_tri, 5), 3),

@@ -89,6 +89,12 @@ def test_element_stiffness_entry_on_reference_triangle():
     assert np.abs(rhs).max() == 0.0
 
 
+def test_discretization_reads_the_mesh_areas():
+    mesh = meshes.surface(meshes.golden_spiral_sphere, 60)
+    disc = Discretization(mesh, build_edge_frames(mesh), 4)
+    assert disc.areas is mesh.triangle_areas()
+
+
 def test_element_zero_field_reduces_to_stiffness():
     """About the zero field the Hessian is ``K - M / eps^2``: no f1/f2
     coupling, and the element mass matrix is exactly diagonal."""
