@@ -102,7 +102,7 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
         "convergence": {
             "iterations": log.iterations,
             "converged": log.converged,
-            "final_residual": log.residuals[-1] if log.residuals else None,
+            "final_residual": log.residuals[-1],
             "residuals": list(log.residuals),
         },
         "singularities": singularities_to_json(singularities),

@@ -24,9 +24,9 @@ the energy.  Each step factors the symmetric free-dof Hessian once, with
 pivots taken on the diagonal and the symmetric fill-reducing ordering that
 the warm start's factor of the stiffness computed for the whole solve, and
 a step larger than ``STEP_CAP`` in any component is scaled down to it;
-convergence is declared on the 2-norm of the exact energy gradient, never
-on the linearised residual, so a converged field is a genuine stationary
-point of the functional.
+convergence is tested before each step on the 2-norm of the exact energy
+gradient, never on the linearised residual, so a converged field is a
+genuine stationary point of the functional.
 """
 
 from __future__ import annotations
@@ -158,14 +158,15 @@ class NewtonOptions:
 
 @dataclass(frozen=True)
 class ConvergenceLog:
-    """Residual history of a nonlinear solve; one entry per linear sweep."""
+    """Gradient norms of a nonlinear solve: at the start, then per step."""
 
     residuals: tuple[float, ...]
     converged: bool
 
     @property
     def iterations(self):
-        return len(self.residuals)
+        """Number of Newton steps taken."""
+        return len(self.residuals) - 1
 
 
 class SingularFactorError(RuntimeError):
@@ -517,8 +518,9 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
 
     The start is the smoothing-only solution renormalised to unit edge
     norms and refined by ``options.warmup_rounds`` smooth-and-renormalise
-    sweeps; assembled Newton solves then run until the 2-norm of the exact
-    energy gradient over the free dofs drops to ``tol``.  A step whose
+    sweeps.  The 2-norm of the exact energy gradient over the free dofs is
+    tested before each step, and assembled Newton steps run until it drops
+    to ``tol``, so a stationary start takes no step.  A step whose
     infinity norm exceeds ``STEP_CAP`` is scaled down to it.  An energy
     increase between steps is logged as a warning but does not abort;
     exceeding ``max_iter`` returns with ``converged=False``; an exactly
@@ -542,10 +544,12 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
 
     free = ~mask
     ordered = blocks.dofs
-    residuals = []
-    converged = False
+    # summed in dof order: a permuted vector's norm rounds differently
+    residuals = [float(np.linalg.norm(disc.residual(x, epsilon)[free]))]
+    steps = 0
     prev_energy = None
-    for _ in range(options.max_iter):
+    # a NaN gradient is never converged: it steps on until the budget ends
+    while not (converged := residuals[-1] <= options.tol) and steps < options.max_iter:
         matrix, rhs = disc.newton_system(x, epsilon)
         lu, bound = _factor_free(matrix, mask, cvalues, blocks)
         step = lu.solve(rhs[ordered] - bound) - x[ordered]
@@ -553,23 +557,19 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
         # once the heap fragments and the peak memory grows every step
         del lu
         x[ordered] += step / max(1.0, np.abs(step).max(initial=0.0) / STEP_CAP)
-        # summed in dof order: a permuted vector's norm rounds differently
-        res = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
-        residuals.append(res)
+        steps += 1
+        residuals.append(float(np.linalg.norm(disc.residual(x, epsilon)[free])))
         energy = disc.energy(x, epsilon).total
         if prev_energy is not None and energy > prev_energy + 1e-12 * max(1.0, abs(prev_energy)):
             # increases while the iterate still wanders are expected; near a
             # stationary point they deserve attention
-            in_basin = len(residuals) > 1 and residuals[-2] < 1e-6
+            in_basin = residuals[-2] < 1e-6
             logger.log(logging.WARNING if in_basin else logging.DEBUG,
                        "energy increased from %.6e to %.6e", prev_energy, energy)
         prev_energy = energy
-        if res <= options.tol:
-            converged = True
-            break
     if not converged:
         logger.warning("no convergence after %d steps (residual %.3e)",
-                       len(residuals), residuals[-1] if residuals else float("nan"))
+                       steps, residuals[-1])
 
     field_solution = FieldSolution(order=order,
                                    values=disc.values_from_vector(x),

@@ -66,6 +66,21 @@ def test_topology_disk_msh(capsys, tmp_path):
     assert payload["boundary_loops"] == 1
 
 
+def test_aligned_lshape_solve_takes_no_step(tmp_path):
+    """The warm start of an aligned cross field on an L-shape is already
+    stationary: the report has the start's residual and no step."""
+    verts, tris = meshes.lshape_tri(6)
+    path = tmp_path / "lshape.msh"
+    meshes.write_msh22(path, verts, tris)
+    code, report = cli.run_solve(str(path))
+    conv = report["convergence"]
+    assert code == 0
+    assert conv["converged"] and conv["iterations"] == 0
+    assert conv["residuals"] == [conv["final_residual"]]
+    assert conv["final_residual"] <= report["options"]["tol"]
+    assert report["singularities"] == []
+
+
 def test_topology_torus_obj(capsys, tmp_path):
     verts, tris = meshes.torus_tri(16, 10)
     path = tmp_path / "torus.obj"

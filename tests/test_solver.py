@@ -20,6 +20,7 @@ from crossfield import (CR_GRADIENTS, Discretization, FieldSolution,
 from crossfield import solver as solver_module
 from crossfield.analysis import angle_defects
 from crossfield.frames import TriangleFrames
+from crossfield.mesh import boundary_loops
 from crossfield.solver import (_factor_free, _free_blocks, _gather,
                                _in_elimination_order, _warm_start)
 
@@ -246,8 +247,9 @@ def test_blocks_to_edges_equals_term_by_term_products():
 
 def test_solve_call_structure(monkeypatch):
     """Per Newton step one assembly, one residual, one energy and one
-    factorisation (plus one for the warm start); one quadrature of each
-    iterate, shared by its residual, energy and Newton system."""
+    factorisation, plus the warm start's factorisation and the gradient
+    test of the start; one quadrature of each iterate, shared by its
+    residual, energy and Newton system."""
     from crossfield import solver
 
     calls = {}
@@ -275,7 +277,7 @@ def test_solve_call_structure(monkeypatch):
                               NewtonOptions(epsilon=0.3, tol=1e-12))
     steps = log.iterations
     assert log.converged and steps > 2
-    assert calls == {"newton_system": steps, "residual": steps,
+    assert calls == {"newton_system": steps, "residual": steps + 1,
                      "energy": steps, "_quadrature": steps + 1,
                      "splu": steps + 1}
     # the warm start's factor computes the solve's only ordering
@@ -400,13 +402,66 @@ def test_options_validation():
 def test_square_converges_immediately(square_cross):
     log = square_cross.log
     assert log.converged
-    assert log.iterations <= 2
+    assert log.iterations == 0
     assert log.residuals[-1] <= 1e-12
     exact = transported_constant(square_cross.mesh, square_cross.edge_frames, 4)
     assert np.abs(square_cross.field.values - exact).max() < 1e-9
     sings = extract_singularities(square_cross.mesh, square_cross.tri_frames,
                                   square_cross.field)
     assert sings == []
+
+
+def _solve_counting_factors(monkeypatch, mesh, frames, options):
+    """``newton_solve`` at N = 4 and the number of ``splu`` calls it made."""
+    calls = []
+    splu = solver_module.splu
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(solver_module, "splu", counted)
+    field, log = newton_solve(mesh, frames, 4, options)
+    return field, log, len(calls)
+
+
+@pytest.mark.parametrize("generator, n", [(meshes.lshape_tri, 6),
+                                          (meshes.square_grid_tri, 8)],
+                         ids=["lshape", "square"])
+def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
+    """An aligned N = 4 field on an axis-aligned polygon is the warm start
+    itself: the gradient test passes before any Newton system is built."""
+    mesh = meshes.surface(generator, n)
+    frames = build_edge_frames(mesh)
+    options = NewtonOptions(tol=1e-12)
+    field, log, factors = _solve_counting_factors(monkeypatch, mesh, frames,
+                                                  options)
+    assert log.converged and log.iterations == 0
+    assert len(log.residuals) == 1 and log.residuals[0] <= options.tol
+    assert factors == 1
+    disc = Discretization(mesh, frames, 4)
+    mask, cvalues, _ = constraint_dofs(mesh, options)
+    x, _ = _warm_start(disc, mask, cvalues, options.warmup_rounds,
+                       _free_blocks(disc.stiffness, mask))
+    assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_planar_delaunay_square_solves_to_transported_constant(monkeypatch, seed):
+    """On an irregular triangulation of the square the warm start need not
+    be stationary; every step taken costs exactly one factorisation."""
+    mesh = meshes.surface(meshes.random_planar_delaunay, 60, seed)
+    frames = build_edge_frames(mesh)
+    field, log, factors = _solve_counting_factors(monkeypatch, mesh, frames,
+                                                  NewtonOptions(tol=1e-12))
+    assert log.converged
+    assert factors == log.iterations + 1
+    if len(boundary_loops(mesh)) == 1:
+        exact = transported_constant(mesh, frames, 4)
+        assert np.abs(field.values - exact).max() < 1e-9
+    else:
+        # the sliver filter cut holes (seeds 3, 6 and 8), whose boundaries
+        # are not axis-aligned: the constant is no longer the minimiser
+        assert log.iterations > 0
 
 
 def test_huge_epsilon_recovers_smoothing_solution():
@@ -422,7 +477,7 @@ def test_huge_epsilon_recovers_smoothing_solution():
 
 def test_convergence_log_shape(square_cross):
     log = square_cross.log
-    assert log.iterations == len(log.residuals)
+    assert log.iterations == len(log.residuals) - 1
     assert log.converged
     assert log.residuals[-1] <= 1e-12
 
@@ -436,6 +491,18 @@ def test_non_convergence_reported(caplog):
     assert not log.converged
     assert log.iterations == 1
     assert any("no convergence" in rec.message for rec in caplog.records)
+
+
+def test_nan_gradient_runs_the_step_budget(monkeypatch):
+    """A gradient norm that is not a number never counts as converged, so
+    an unconverged solve has always used all ``max_iter`` steps."""
+    mesh = meshes.surface(meshes.square_grid_tri, 4)
+    monkeypatch.setattr(Discretization, "residual",
+                        lambda self, x, epsilon: np.full(self.n_dofs, np.nan))
+    field, log = newton_solve(mesh, build_edge_frames(mesh), 4,
+                              NewtonOptions(max_iter=3))
+    assert not log.converged
+    assert log.iterations == 3
 
 
 def test_triangle_reordering_leaves_solution(disk_cross):
