@@ -138,17 +138,9 @@ def triangle_windings(mesh, tri_frames, field):
 
 
 def angle_defects(mesh):
-    """Angle defect (2*pi minus the incident corner angles) per vertex."""
-    p = mesh.vertices[mesh.triangles]
-    total = np.zeros(mesh.n_vertices)
-    for i in range(3):
-        a = p[:, (i + 1) % 3] - p[:, i]
-        b = p[:, (i + 2) % 3] - p[:, i]
-        cosine = (a * b).sum(axis=1) / (
-            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-        np.add.at(total, mesh.triangles[:, i],
-                  np.arccos(np.clip(cosine, -1.0, 1.0)))
-    return 2.0 * np.pi - total
+    """Angle defect (2*pi minus the incident corner angles) per vertex,
+    computed once with the mesh."""
+    return mesh.angle_defect
 
 
 def vertex_windings(mesh, tri_frames, field):

@@ -207,14 +207,21 @@ class SurfaceMesh(_FacetMesh):
         p = self.vertices[self.facets]
         cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         two_area = np.linalg.norm(cross, axis=1)
-        longest = np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2).max(axis=1)
+        sides = np.roll(p, -1, axis=1) - p  # side i runs from corner i to i+1
+        lengths = np.linalg.norm(sides, axis=2)
         self._areas = 0.5 * two_area
-        degenerate = self._areas < 1e-12 * longest**2
+        degenerate = self._areas <= 1e-12 * lengths.max(axis=1)**2
         if degenerate.any():
             bad = np.flatnonzero(degenerate)[:10]
             raise InvalidMeshError(f"degenerate (zero-area) triangles: {bad.tolist()}")
         self._normals = cross / two_area[:, None]
-        for arr in (self._normals, self._areas):
+        # corner i lies between side i and side i-1 reversed
+        cosine = -(sides * np.roll(sides, 1, axis=1)).sum(axis=2) / (
+            lengths * np.roll(lengths, 1, axis=1))
+        corners = np.arccos(np.clip(cosine, -1.0, 1.0))
+        self.angle_defect = 2.0 * np.pi - np.bincount(
+            self.facets.T.ravel(), corners.T.ravel(), minlength=self.n_vertices)
+        for arr in (self._normals, self._areas, self.angle_defect):
             arr.setflags(write=False)
 
     @property
@@ -370,48 +377,49 @@ def _strip_comment(line):
     return line.split("#", 1)[0].strip()
 
 
-def _coords(tokens):
-    """The first three tokens as floats; fewer raise ``ValueError``."""
-    if len(tokens) < 3:
-        raise ValueError("vertex record has fewer than three coordinates")
-    return tuple(float(t) for t in tokens[:3])
+def _rows(lines, dtype, usecols=None):
+    """The ``usecols`` columns (default all) of a file block, one row per line."""
+    if not lines:
+        return np.empty((0, len(usecols)), dtype=dtype)
+    return np.loadtxt(lines, dtype=dtype, usecols=usecols, comments=None,
+                      ndmin=2)
+
+
+def _facet_size(path, sizes):
+    """The vertex count, 3 or 4, that all facets of a file share (3 when
+    it has none), from the count of each facet."""
+    found = set(np.unique(sizes).tolist())
+    if len(found) > 1 or not found <= {3, 4}:
+        raise MeshLoadError(f"{path}: facets with {sorted(found)} vertices; "
+                            "mixed or other than 3 or 4 are not supported")
+    return max(found, default=3)
 
 
 def _read_off(path):
     lines = [s for s in (_strip_comment(l) for l in path.read_text().splitlines()) if s]
-    if not lines:
-        raise MeshLoadError(f"{path}: empty OFF file")
-    header = lines[0].split()
-    if header[0] != "OFF":
+    if not lines or lines[0].split()[0] != "OFF":
         raise MeshLoadError(f"{path}: missing OFF header")
-    if len(header) >= 4:
-        counts = header[1:4]
-        body = lines[1:]
-    else:
-        if len(lines) < 2:
-            raise MeshLoadError(f"{path}: truncated OFF file")
-        counts = lines[1].split()
-        body = lines[2:]
+    # the counts follow the keyword on its own line or on the next one
+    inline = len(lines[0].split()) >= 4
+    counts = lines[0].split()[1:] if inline else " ".join(lines[1:2]).split()
+    body = lines[1 if inline else 2:]
     try:
         n_v, n_f = int(counts[0]), int(counts[1])
-    except (ValueError, IndexError) as exc:
-        raise MeshLoadError(f"{path}: bad OFF count line") from exc
-    if len(body) < n_v + n_f:
-        raise MeshLoadError(f"{path}: truncated OFF file")
-    try:
-        vertices = [_coords(body[i].split()) for i in range(n_v)]
-        faces = []
-        for i in range(n_v, n_v + n_f):
-            tokens = body[i].split()
-            k = int(tokens[0])
-            faces.append(tuple(int(t) for t in tokens[1:1 + k]))
-    except (ValueError, IndexError) as exc:
-        raise MeshLoadError(f"{path}: malformed OFF record") from exc
-    for k, face in enumerate(faces):
-        if any(not 0 <= i < n_v for i in face):
-            raise MeshLoadError(
-                f"{path}: face {k} references a vertex outside 0..{n_v - 1}")
-    return np.array(vertices), faces
+        if min(n_v, n_f) < 0 or len(body) < n_v + n_f:
+            raise ValueError(f"counts {n_v} {n_f} for {len(body)} records")
+        faces = body[n_v:n_v + n_f]
+        vertices = _rows(body[:n_v], float, (0, 1, 2))
+        k = _facet_size(path, _rows(faces, np.int64, (0,)))
+        faces = _rows(faces, np.int64, range(1, 1 + k))
+    except MeshLoadError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise MeshLoadError(f"{path}: malformed OFF file ({exc!r})") from exc
+    outside = np.flatnonzero(((faces < 0) | (faces >= n_v)).any(axis=1))
+    if len(outside):
+        raise MeshLoadError(
+            f"{path}: face {outside[0]} references a vertex outside 0..{n_v - 1}")
+    return vertices, faces
 
 
 def _read_obj(path):
@@ -425,9 +433,10 @@ def _read_obj(path):
         tokens = line.split()
         if tokens[0] == "v":
             try:
-                vertices.append(_coords(tokens[1:]))
+                x, y, z = map(float, tokens[1:4])
             except ValueError as exc:
                 raise MeshLoadError(f"{path}:{lineno}: bad vertex record") from exc
+            vertices.append((x, y, z))
         elif tokens[0] == "f":
             idx = []
             for tok in tokens[1:]:
@@ -446,7 +455,9 @@ def _read_obj(path):
         if any(not 0 <= i < n_v for i in face):
             raise MeshLoadError(
                 f"{path}:{lineno}: face references a vertex outside 1..{n_v}")
-    return np.array(vertices, dtype=float).reshape(-1, 3), faces
+    k = _facet_size(path, [len(f) for f in faces])
+    return (np.array(vertices, dtype=float).reshape(-1, 3),
+            np.array(faces, dtype=np.int64).reshape(-1, k))
 
 
 def _read_msh(path):
@@ -454,14 +465,48 @@ def _read_msh(path):
         return _parse_msh(path, path.read_text().splitlines())
     except MeshLoadError:
         raise
-    except (IndexError, KeyError, ValueError) as exc:
+    except (IndexError, ValueError) as exc:
         raise MeshLoadError(f"{path}: malformed MSH file ({exc!r})") from exc
+
+
+#: A ``$Nodes`` row: the node id and its three coordinates.
+_NODE_ROW = np.dtype([("id", np.int64), ("xyz", float, 3)])
+
+
+def _msh_nodes(block):
+    """The rows of a ``$Nodes`` block as ``_NODE_ROW`` records."""
+    try:
+        return _rows(block, _NODE_ROW, (0, 1, 2, 3))[:, 0]
+    except ValueError:
+        if min(len(line.split()) for line in block) < 4:
+            raise ValueError("node record has fewer than three coordinates")
+        raise
+
+
+def _msh_triangles(path, block):
+    """Node ids of the triangles of an ``$Elements`` block, in file order,
+    read with one parse per tag count (each such row has ``6 + tags``
+    fields); boundary lines and points carry no surface facets."""
+    etype, n_tags = _rows(block, np.int64, (1, 2)).T
+    unsupported = etype[~np.isin(etype, (1, 2, 15))]
+    if len(unsupported):
+        raise MeshLoadError(f"{path}: unsupported MSH element type {unsupported[0]}")
+    rows = np.flatnonzero(etype == 2)
+    faces = np.empty((len(rows), 3), dtype=np.int64)
+    for tags in np.unique(n_tags[rows]).tolist():
+        group = n_tags[rows] == tags
+        fields = _rows([block[k] for k in rows[group].tolist()], np.int64)
+        if tags < 0 or fields.shape[1] != 6 + tags:
+            raise MeshLoadError(f"{path}: triangle element {fields[0, 0]} "
+                                f"has {fields.shape[1] - 3 - tags} nodes")
+        faces[group] = fields[:, 3 + tags:]
+    return faces
 
 
 def _parse_msh(path, lines):
     i = 0
-    nodes = {}
-    faces = []
+    nodes = [np.empty(0, dtype=_NODE_ROW)]
+    faces = [np.empty((0, 3), dtype=np.int64)]
     while i < len(lines):
         tag = lines[i].strip()
         if tag == "$MeshFormat":
@@ -471,30 +516,15 @@ def _parse_msh(path, lines):
             if len(version) > 1 and version[1] != "0":
                 raise MeshLoadError(f"{path}: binary MSH is not supported")
             i += 3
-        elif tag == "$Nodes":
+        elif tag in ("$Nodes", "$Elements"):
             count = int(lines[i + 1])
-            for j in range(count):
-                tok = lines[i + 2 + j].split()
-                nid = int(tok[0])
-                if nid in nodes:
-                    raise MeshLoadError(f"{path}: node {nid} is defined twice")
-                nodes[nid] = _coords(tok[1:])
-            i += count + 3
-        elif tag == "$Elements":
-            count = int(lines[i + 1])
-            for j in range(count):
-                tok = lines[i + 2 + j].split()
-                etype = int(tok[1])
-                n_tags = int(tok[2])
-                conn = [int(t) for t in tok[3 + n_tags:]]
-                if etype == 2:
-                    faces.append(tuple(conn))
-                elif etype in (1, 15):
-                    continue  # boundary lines and points carry no surface facets
-                else:
-                    raise MeshLoadError(
-                        f"{path}: unsupported MSH element type {etype}"
-                    )
+            block = lines[i + 2:i + 2 + count]
+            if count < 0 or lines[i + 2 + count].strip() != "$End" + tag[1:]:
+                raise ValueError(f"{tag} block does not end after {count} rows")
+            if tag == "$Nodes":
+                nodes.append(_msh_nodes(block))
+            else:
+                faces.append(_msh_triangles(path, block))
             i += count + 3
         elif tag.startswith("$"):
             end = "$End" + tag[1:]
@@ -503,16 +533,22 @@ def _parse_msh(path, lines):
             i += 1
         else:
             i += 1
-    if not nodes:
+    nodes, faces = np.concatenate(nodes), np.concatenate(faces)
+    if len(nodes) == 0:
         raise MeshLoadError(f"{path}: MSH file has no nodes")
-    remap = {nid: k for k, nid in enumerate(nodes)}
-    undefined = set().union(*faces) - nodes.keys()
-    if undefined:
+    # vertices keep the nodes' file order; ids map to it through a sort
+    order = np.argsort(nodes["id"], kind="stable")
+    ids = nodes["id"][order]
+    repeats = order[1:][ids[1:] == ids[:-1]]
+    if len(repeats):
         raise MeshLoadError(
-            f"{path}: element names undefined node {min(undefined)}")
-    vertices = np.array(list(nodes.values()))
-    faces = [tuple(remap[n] for n in f) for f in faces]
-    return vertices, faces
+            f"{path}: node {nodes['id'][repeats.min()]} is defined twice")
+    where = np.searchsorted(ids, faces)
+    undefined = faces[ids[np.minimum(where, len(ids) - 1)] != faces]
+    if len(undefined):
+        raise MeshLoadError(
+            f"{path}: element names undefined node {undefined.min()}")
+    return nodes["xyz"], order[where]
 
 
 _READERS = {"off": _read_off, "obj": _read_obj, "msh": _read_msh}
@@ -554,15 +590,6 @@ def load_mesh(path, format_hint=None):
         vertices, faces = reader(path)
     except OSError as exc:
         raise MeshLoadError(f"{path}: {exc}") from exc
-    if not faces:
+    if len(faces) == 0:
         raise MeshLoadError(f"{path}: mesh file contains no facets")
-    sizes = {len(f) for f in faces}
-    if sizes == {3}:
-        return SurfaceMesh(vertices, np.array(faces, dtype=np.int64))
-    if sizes == {4}:
-        return QuadMesh(vertices, np.array(faces, dtype=np.int64))
-    if sizes <= {3, 4}:
-        raise MeshLoadError(
-            f"{path}: mixed triangle/quadrangle mesh is not supported"
-        )
-    raise MeshLoadError(f"{path}: facets with {sorted(sizes - {3, 4})} vertices")
+    return (SurfaceMesh if faces.shape[1] == 3 else QuadMesh)(vertices, faces)

@@ -222,11 +222,6 @@ class Discretization:
         self.n_dofs = 2 * n_e
         self.tri_dofs = np.concatenate(
             [mesh.facet_edges, mesh.facet_edges + n_e], axis=1)
-        # the one COO assembly: it fixes the pattern of every later system
-        k = self.tri_frames.blocks_to_edges(self.stiffness_blocks, 0.0,
-                                            self.stiffness_blocks)
-        self.stiffness = coo_matrix((k.ravel(), self._entries()),
-                                    shape=(self.n_dofs, self.n_dofs)).tocsr()
         self._shared = None
 
     # -- helpers ----------------------------------------------------------
@@ -272,6 +267,16 @@ class Discretization:
         matrices, in their memory order."""
         return (np.repeat(self.tri_dofs, 6, axis=1).ravel(),
                 np.tile(self.tri_dofs, (1, 6)).ravel())
+
+    @cached_property
+    def stiffness(self):
+        """Global stiffness matrix (CSR), built on first use: the energy
+        alone never reads it.  This one COO assembly fixes the pattern of
+        every later system."""
+        k = self.tri_frames.blocks_to_edges(self.stiffness_blocks, 0.0,
+                                            self.stiffness_blocks)
+        return coo_matrix((k.ravel(), self._entries()),
+                          shape=(self.n_dofs, self.n_dofs)).tocsr()
 
     @cached_property
     def _slots(self):
@@ -469,14 +474,16 @@ def _factor_free(matrix, mask, values, blocks=None):
     return lu, bound
 
 
-def _renormalized(values, floor=1e-8):
-    """Per-edge rescaling to unit norm; near-zero edges reset to (1, 0)."""
-    out = values.copy()
-    norms = np.linalg.norm(out, axis=1)
-    small = norms < floor
-    out[small] = (1.0, 0.0)
-    out[~small] /= norms[~small, None]
-    return out
+def _project(x, fixed, values):
+    """Rescale each edge of ``x`` (laid out ``[all f1, all f2]``) to unit
+    norm in place, resetting edges whose norm is below 1e-8 to (1, 0), then
+    put back the constrained ``values`` at the ``fixed`` dofs."""
+    pairs = x.reshape(2, -1)  # a view: row 0 holds every f1, row 1 every f2
+    norms = np.linalg.norm(pairs, axis=0)
+    small = norms < 1e-8
+    np.divide(pairs, norms, out=pairs, where=~small)
+    pairs[:, small] = ((1.0,), (0.0,))
+    x[fixed] = values[fixed]
 
 
 def _warm_start(disc, mask, cvalues, rounds, blocks):
@@ -491,21 +498,15 @@ def _warm_start(disc, mask, cvalues, rounds, blocks):
     reads only the pattern, so this factor's ordering serves them all.
     """
     free = blocks.dofs
+    fixed = np.flatnonzero(mask)
     x = cvalues.copy()
     lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
-
-    def project(vec):
-        values = _renormalized(disc.values_from_vector(vec))
-        out = disc.vector_from_values(values)
-        out[mask] = cvalues[mask]
-        return out
-
     x[free] = lu.solve(-bound)
-    x = project(x)
+    _project(x, fixed, cvalues)
     m_diag = disc.lumped_mass()
     for _ in range(rounds):
         x[free] = lu.solve((m_diag * x)[free] - bound)
-        x = project(x)
+        _project(x, fixed, cvalues)
     # lu.perm_c is a view that keeps the whole factor alive: copy it and free
     # the factor before the ordered blocks are built
     perm_c = lu.perm_c.copy()

@@ -306,25 +306,32 @@ def subdivide_quads(verts, quads):
 
 
 def random_planar_delaunay(n_interior, seed, size=1.0):
-    """Random triangulation of a square with slivers filtered out."""
+    """Random Delaunay triangulation of a square.
+
+    Interior points that make a sliver (a triangle of area at most 1e-4)
+    are dropped and the rest triangulated again, so every triangle of the
+    result is kept and the triangles cover the whole square."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.05, size - 0.05, size=(n_interior, 2))
     border = np.linspace(0.0, size, 5)
     frame = [(x, y) for x in border for y in (0.0, size)]
     frame += [(x, y) for y in border[1:-1] for x in (0.0, size)]
-    pts = np.vstack([pts, np.array(frame)])
-    tri = Delaunay(pts)
-    simplices = tri.simplices
-    p = pts[simplices]
-    area = 0.5 * np.abs(
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-    keep = area > 1e-4
-    simplices = simplices[keep]
+    while True:
+        all_pts = np.vstack([pts, np.array(frame)])
+        simplices = Delaunay(all_pts).simplices
+        p = all_pts[simplices]
+        area = 0.5 * np.abs(
+            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        corners = simplices[area <= 1e-4]
+        drop = np.unique(corners[corners < len(pts)])
+        if len(drop) == 0:
+            break
+        pts = np.delete(pts, drop, axis=0)
     used = np.unique(simplices)
-    remap = -np.ones(len(pts), dtype=int)
+    remap = -np.ones(len(all_pts), dtype=int)
     remap[used] = np.arange(len(used))
-    verts = np.column_stack([pts[used], np.zeros(len(used))])
+    verts = np.column_stack([all_pts[used], np.zeros(len(used))])
     return verts, remap[simplices]
 
 

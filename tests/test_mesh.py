@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from crossfield import (InvalidMeshError, MeshLoadError, QuadMesh,
                         SurfaceMesh, boundary_loops, load_mesh,
                         mean_edge_length, topology_report)
+from crossfield import analysis as analysis_module
+from crossfield import mesh as mesh_module
 from crossfield.mesh import _build_edge_tables
 
 import meshes
@@ -397,3 +399,215 @@ def test_mesh_files_round_trip_exactly(mesh):
             assert isinstance(loaded, SurfaceMesh), suffix
             assert np.array_equal(loaded.vertices, verts), suffix
             assert np.array_equal(loaded.triangles, tris), suffix
+
+
+# --- the NumPy block readers against the per-line parsers they replaced ---
+
+def _reference_off(text):
+    """Vertices and faces of an OFF text, parsed line by line."""
+    lines = [s for s in (l.split("#", 1)[0].strip() for l in text.splitlines())
+             if s]
+    header = lines[0].split()
+    counts, body = ((header[1:4], lines[1:]) if len(header) >= 4
+                    else (lines[1].split(), lines[2:]))
+    n_v, n_f = int(counts[0]), int(counts[1])
+    vertices = [tuple(float(t) for t in body[i].split()[:3]) for i in range(n_v)]
+    faces = []
+    for i in range(n_v, n_v + n_f):
+        tokens = body[i].split()
+        faces.append(tuple(int(t) for t in tokens[1:1 + int(tokens[0])]))
+    return np.array(vertices), np.array(faces, dtype=np.int64)
+
+
+def _reference_msh(text):
+    """Vertices (in node order) and triangles of an MSH 2.2 text, parsed
+    line by line through a node dict."""
+    lines = text.splitlines()
+    i, nodes, faces = 0, {}, []
+    while i < len(lines):
+        tag = lines[i].strip()
+        if tag in ("$Nodes", "$Elements"):
+            count = int(lines[i + 1])
+            for line in lines[i + 2:i + 2 + count]:
+                tok = line.split()
+                if tag == "$Nodes":
+                    nodes[int(tok[0])] = tuple(float(t) for t in tok[1:4])
+                elif int(tok[1]) == 2:
+                    faces.append(tuple(int(t) for t in tok[3 + int(tok[2]):]))
+            i += count + 3
+        else:
+            i += 1
+    remap = {nid: k for k, nid in enumerate(nodes)}
+    return (np.array(list(nodes.values())),
+            np.array([[remap[n] for n in f] for f in faces], dtype=np.int64))
+
+
+coordinates = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def msh_texts(draw):
+    """An MSH 2.2 text with shuffled node ids that may have gaps, triangles
+    with 0 to 4 tags, and line (type 1) and point (type 15) elements
+    interleaved with them."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(1, 10**12), min_size=n, max_size=n,
+                        unique=True))
+    xyz = draw(st.lists(st.tuples(coordinates, coordinates, coordinates),
+                        min_size=n, max_size=n))
+    nodes = [f"{i} {x!r} {y!r} {z!r}" for i, (x, y, z) in zip(ids, xyz)]
+    node = st.sampled_from(ids)
+    tags = st.lists(st.integers(-5, 99), max_size=4)
+    elements = draw(st.lists(st.one_of(
+        st.tuples(st.just(2), tags, st.lists(node, min_size=3, max_size=3)),
+        st.tuples(st.just(1), tags, st.lists(node, min_size=2, max_size=2)),
+        st.tuples(st.just(15), tags, st.lists(node, min_size=1, max_size=1))),
+        max_size=20))
+    rows = [" ".join(map(str, [k, etype, len(t), *t, *conn]))
+            for k, (etype, t, conn) in enumerate(elements, start=1)]
+    return ("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+            f"$Nodes\n{n}\n" + "".join(f"{r}\n" for r in nodes) + "$EndNodes\n"
+            f"$Elements\n{len(rows)}\n" + "".join(f"{r}\n" for r in rows)
+            + "$EndElements\n")
+
+
+@st.composite
+def off_texts(draw):
+    """An OFF text of triangles or of quadrangles, its counts on the header
+    line or the next, with comment and blank lines among the records."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.sampled_from([3, 4]))
+    xyz = draw(st.lists(st.tuples(coordinates, coordinates, coordinates),
+                        min_size=n, max_size=n))
+    faces = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k,
+                                   max_size=k), max_size=20))
+    counts = f"{n} {len(faces)} 0"
+    lines = ([f"OFF {counts}"] if draw(st.booleans()) else ["OFF", counts])
+    for record in ([f"{x!r} {y!r} {z!r}" for x, y, z in xyz]
+                   + [" ".join(map(str, [k, *f])) for f in faces]):
+        lines.append(record + draw(st.sampled_from(["", "  # note", "\t"])))
+        lines.extend(draw(st.lists(st.sampled_from(["", "# comment", "   "]),
+                                   max_size=2)))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_reads_as_reference(reader, text, reference, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"mesh.{suffix}"
+        path.write_text(text)
+        vertices, faces = reader(path)
+    want_vertices, want_faces = reference(text)
+    assert vertices.dtype == want_vertices.dtype == np.float64
+    assert vertices.tobytes() == want_vertices.tobytes()
+    assert faces.dtype == np.int64 and len(faces) == len(want_faces)
+    assert np.array_equal(faces.ravel(), want_faces.ravel())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=msh_texts())
+def test_msh_reader_matches_per_line_parse(text):
+    _assert_reads_as_reference(mesh_module._read_msh, text, _reference_msh, "msh")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=off_texts())
+def test_off_reader_matches_per_line_parse(text):
+    _assert_reads_as_reference(mesh_module._read_off, text, _reference_off, "off")
+
+
+MSH_START = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+THREE_NODES = "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
+ONE_TRIANGLE = "$Elements\n1\n1 2 2 0 1 1 2 3\n$EndElements\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    (THREE_NODES + "$Elements\n1\n1 2 2 0 1 1 2 3 1\n$EndElements\n",
+     "triangle element 1 has 4 nodes"),
+    (THREE_NODES + "$Elements\n2\n1 2 2 0 1 1 2 3\n2 2 0 3 2\n$EndElements\n",
+     "triangle element 2 has 2 nodes"),
+    ("$Nodes\n3\n1 0 0 0\n2 1 # 0 0\n3 0 1 0\n$EndNodes\n" + ONE_TRIANGLE,
+     "malformed MSH file"),
+    ("$Nodes\n3\n1 0 0 0\n2 1 0 0 #\n3 0 1 0 #\n$EndNodes\n" + ONE_TRIANGLE
+     .replace("1 2 3", "1 2 #"), "malformed MSH file"),
+    ("$Nodes\n3\n1 0 0 0\n99999999999999999999 1 0 0\n3 0 1 0\n$EndNodes\n"
+     + ONE_TRIANGLE, "malformed MSH file"),
+    ("$Nodes\n0\n$EndNodes\n" + ONE_TRIANGLE, "MSH file has no nodes"),
+    ("$Nodes\n-2\n1 0 0 0\n$EndNodes\n" + ONE_TRIANGLE, "malformed MSH file"),
+    ("$Nodes\n2\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n" + ONE_TRIANGLE,
+     "$Nodes block does not end after 2 rows"),
+    (THREE_NODES + "$Elements\n2\n1 2 2 0 1 1 2 3\n$EndElements\n",
+     "IndexError"),
+    (THREE_NODES + "$Elements\n1\n1 2 -1 1 2 3\n$EndElements\n",
+     "triangle element 1 has 4 nodes"),
+], ids=["fourth-node", "two-nodes", "hash-in-node", "hash-in-element",
+        "id-overflow", "no-nodes", "negative-count", "count-below-rows",
+        "count-above-rows", "negative-tags"])
+def test_msh_reader_rejects_with_the_file_name(tmp_path, body, message):
+    path = tmp_path / "bad.msh"
+    path.write_text(MSH_START + body)
+    with pytest.raises(MeshLoadError, match="bad.msh") as info:
+        load_mesh(path)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 # 1 0\n3 0 1 2\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "malformed OFF file"),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n5 0 1 2 0 1\n", "facets with [5] vertices"),
+    ("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", "contains no facets"),
+], ids=["negative-count", "cut-vertex", "short-face", "pentagon", "no-faces"])
+def test_off_reader_rejects_with_the_file_name(tmp_path, text, message):
+    path = tmp_path / "bad.off"
+    path.write_text(text)
+    with pytest.raises(MeshLoadError, match="bad.off") as info:
+        load_mesh(path)
+    assert message in str(info.value)
+
+
+def test_readers_return_facet_arrays(tmp_path):
+    verts, tris = meshes.disk_hex(2)
+    for suffix, write in (("off", meshes.write_off), ("obj", meshes.write_obj),
+                          ("msh", meshes.write_msh22)):
+        path = tmp_path / f"disk.{suffix}"
+        write(path, verts, tris)
+        vertices, faces = mesh_module._READERS[suffix](path)
+        assert vertices.dtype == np.float64 and vertices.shape == verts.shape
+        assert faces.dtype == np.int64 and np.array_equal(faces, tris)
+
+
+@pytest.mark.parametrize("mesh", [
+    meshes.surface(meshes.octahedron),
+    meshes.surface(meshes.lshape_tri, 3),
+    meshes.surface(meshes.golden_spiral_sphere, 200),
+    meshes.surface(meshes.random_planar_delaunay, 40, 3),
+], ids=["octahedron", "lshape", "sphere", "delaunay"])
+def test_angle_defects_are_stored_once(mesh):
+    p = mesh.vertices[mesh.triangles]
+    total = np.zeros(mesh.n_vertices)
+    for i in range(3):
+        a = p[:, (i + 1) % 3] - p[:, i]
+        b = p[:, (i + 2) % 3] - p[:, i]
+        cosine = (a * b).sum(axis=1) / (
+            np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        np.add.at(total, mesh.triangles[:, i],
+                  np.arccos(np.clip(cosine, -1.0, 1.0)))
+    defects = mesh.angle_defect
+    assert defects.tobytes() == (2.0 * np.pi - total).tobytes()
+    assert analysis_module.angle_defects(mesh) is defects
+    assert not defects.flags.writeable
+
+
+def test_coincident_vertices_are_degenerate():
+    with pytest.raises(InvalidMeshError, match="degenerate"):
+        SurfaceMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("n", range(20, 81, 15))
+def test_random_planar_delaunay_covers_the_square(n):
+    for seed in range(50):
+        for size in (1.0, 2.0):
+            mesh = meshes.surface(meshes.random_planar_delaunay, n, seed, size)
+            assert len(boundary_loops(mesh)) == 1, (n, seed, size)
+            assert mesh.triangle_areas().sum() == pytest.approx(size**2,
+                                                                rel=1e-12)

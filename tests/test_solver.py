@@ -22,7 +22,7 @@ from crossfield.analysis import angle_defects
 from crossfield.frames import TriangleFrames
 from crossfield.mesh import boundary_loops
 from crossfield.solver import (_factor_free, _free_blocks, _gather,
-                               _in_elimination_order, _warm_start)
+                               _in_elimination_order, _project, _warm_start)
 
 import meshes
 
@@ -455,13 +455,9 @@ def test_planar_delaunay_square_solves_to_transported_constant(monkeypatch, seed
                                                   NewtonOptions(tol=1e-12))
     assert log.converged
     assert factors == log.iterations + 1
-    if len(boundary_loops(mesh)) == 1:
-        exact = transported_constant(mesh, frames, 4)
-        assert np.abs(field.values - exact).max() < 1e-9
-    else:
-        # the sliver filter cut holes (seeds 3, 6 and 8), whose boundaries
-        # are not axis-aligned: the constant is no longer the minimiser
-        assert log.iterations > 0
+    assert len(boundary_loops(mesh)) == 1
+    exact = transported_constant(mesh, frames, 4)
+    assert np.abs(field.values - exact).max() < 1e-9
 
 
 def test_huge_epsilon_recovers_smoothing_solution():
@@ -774,3 +770,65 @@ def test_asterisk_sphere_ends_at_a_minimum(sphere_mesh):
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert (lu.U.diagonal() < 0).sum() == 0
     assert disc.energy(x, 0.1).total < 57.2
+
+
+def test_energy_builds_no_stiffness(monkeypatch):
+    """The report's energy reads only the element blocks: its
+    discretisation never assembles the global stiffness, and the energy has
+    the bits of one whose stiffness was built first."""
+    mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
+    frames = build_edge_frames(mesh)
+    angles = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, mesh.n_edges)
+    field = FieldSolution(order=4, epsilon=0.3, values=np.stack(
+        [np.cos(angles), 0.9 * np.sin(angles)], axis=1))
+    built = []
+
+    class Recorded(Discretization):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(solver_module, "Discretization", Recorded)
+    lazy = gl_energy(mesh, frames, field)
+    assert len(built) == 1 and "stiffness" not in vars(built[0])
+    eager = Discretization(mesh, frames, 4)
+    assert eager.stiffness.nnz > 0 and "stiffness" in vars(eager)
+    x = eager.vector_from_values(field.values)
+    want = eager.energy(x, field.epsilon)
+    assert np.array(lazy).tobytes() == np.array(want).tobytes()
+    assert (gl_residual(mesh, frames, field).tobytes()
+            == eager.residual(x, field.epsilon).tobytes())
+
+
+def _renormalized_reference(values, floor=1e-8):
+    """Per-edge rescaling to unit norm on an (n_edges, 2) copy; near-zero
+    edges reset to (1, 0)."""
+    out = values.copy()
+    norms = np.linalg.norm(out, axis=1)
+    small = norms < floor
+    out[small] = (1.0, 0.0)
+    out[~small] /= norms[~small, None]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_projection_matches_copying_reference(seed):
+    """``_project`` renormalises in place with the bits of the copying
+    per-edge path, on fields with zero-norm, sub-floor and tiny edges."""
+    rng = np.random.default_rng(seed)
+    n_e = 200
+    values = rng.standard_normal((n_e, 2))
+    values[:10] = 0.0
+    values[10:20] *= 1e-9           # below the 1e-8 floor
+    values[20:30] *= 1e-300         # subnormal squares: norms underflow to 0
+    values[30:40] = (-0.0, 5e-9)
+    values[40:50] *= 1.0000001e-8 / np.linalg.norm(values[40:50], axis=1)[:, None]
+    rng.shuffle(values)
+    mask = rng.random(2 * n_e) < 0.2
+    cvalues = np.where(mask, rng.standard_normal(2 * n_e), 0.0)
+
+    want = np.concatenate([*_renormalized_reference(values).T])
+    want[mask] = cvalues[mask]
+    x = np.concatenate([values[:, 0], values[:, 1]])
+    _project(x, np.flatnonzero(mask), cvalues)
+    assert x.tobytes() == want.tobytes()
