@@ -143,6 +143,22 @@ def angle_defects(mesh):
     return mesh.angle_defect
 
 
+def _vertex_turns(mesh, tri_frames, field):
+    """Turn count of each vertex's midpoint loop before rounding: the
+    wrapped angle increments around its fan, over ``2*pi``, plus the
+    order-scaled angle defect at interior vertices.  A boundary vertex's
+    open fan turns about 0 on a field aligned with the boundary."""
+    phi = _common_frame_angles(mesh, tri_frames, field)
+    total = field.order * np.where(mesh.boundary_vertex, 0.0,
+                                   angle_defects(mesh))
+    for i in range(3):
+        # corner at local vertex i+1, between local edges i+1 (in) and i
+        # (out); the hop runs with the fan orientation around the vertex
+        step = _wrap(phi[:, i] - phi[:, (i + 1) % 3])
+        np.add.at(total, mesh.triangles[:, (i + 1) % 3], step)
+    return total / (2.0 * np.pi)
+
+
 def vertex_windings(mesh, tri_frames, field):
     """Integer winding around the midpoint polygon of each interior vertex.
 
@@ -155,14 +171,7 @@ def vertex_windings(mesh, tri_frames, field):
     (a fraction of the order-scaled defects, far below 1/2 on any
     reasonable mesh).
     """
-    phi = _common_frame_angles(mesh, tri_frames, field)
-    total = field.order * angle_defects(mesh)
-    for i in range(3):
-        # corner at local vertex i+1, between local edges i+1 (in) and i
-        # (out); the hop runs with the fan orientation around the vertex
-        step = _wrap(phi[:, i] - phi[:, (i + 1) % 3])
-        np.add.at(total, mesh.triangles[:, (i + 1) % 3], step)
-    turns = total / (2.0 * np.pi)
+    turns = _vertex_turns(mesh, tri_frames, field)
     winding = np.rint(turns).astype(np.int64)
     residual = np.abs(turns - winding)
     winding[mesh.boundary_vertex] = 0
@@ -186,61 +195,69 @@ def extract_singularities(mesh, tri_frames, field):
 
     Triangle-seated charges are reported at triangle centroids and
     vertex-seated charges at the vertex position with an adjacent triangle
-    as the representative.  Triangles that share an edge of near-zero norm
-    are merged into one cluster reporting the summed winding, since a
-    critical point sitting on such an edge has no single-cell location;
-    such a cluster sits at the area-weighted mean of its centroids and is
+    as the representative.  An interior edge of near-zero norm has no
+    angle, yet the loops of its two triangles and of its two end vertices
+    each read one, so those loops, and all loops linked to them through
+    other such edges, form one cluster reporting their summed winding: a
+    critical point sitting on such an edge has no single-cell location.
+    The vertex loops of a cluster are summed before rounding, and a
+    boundary vertex's open fan counts only in a cluster.  A cluster lists
+    its triangles, sits at the area-weighted mean of their centroids and is
     flagged.  The result is sorted by ``(index, triangle id)``.
     """
     w_tri, touches_zero = triangle_windings(mesh, tri_frames, field)
-    w_vert, _ = vertex_windings(mesh, tri_frames, field)
+    turns = _vertex_turns(mesh, tri_frames, field)
     norms = field.norms()
     centroids = mesh.triangle_centroids()
     areas = mesh.triangle_areas()
 
     near_zero = (norms < NORM_FLOOR) & ~mesh.boundary_edge
-    count, labels = _components(mesh.edge_facets[near_zero], mesh.n_triangles)
-    charge = np.zeros(count, dtype=np.int64)
-    np.add.at(charge, labels, w_tri)
+    facets = mesh.edge_facets[near_zero]
+    ends = mesh.edges[near_zero]
+    counted = ~mesh.boundary_vertex
+    counted[ends] = True
+    # one graph node per triangle, then one per vertex (at n_triangles + v)
+    ends = ends + mesh.n_triangles
+    count, labels = _components(
+        np.concatenate([facets, ends, np.stack([facets[:, 0], ends[:, 0]], 1)]),
+        mesh.n_triangles + mesh.n_vertices)
+    charge = np.zeros(count)
+    np.add.at(charge, labels,
+              np.concatenate([w_tri, np.where(counted, turns, 0.0)]))
+    charge = np.rint(charge).astype(np.int64)
     by_label = np.argsort(labels, kind="stable")
     size = np.bincount(labels)
     start = np.cumsum(size) - size
 
+    first_tri = np.full(mesh.n_vertices, mesh.n_triangles)
+    np.minimum.at(first_tri, mesh.triangles,
+                  np.arange(mesh.n_triangles)[:, None])
     out = []
     for c in np.flatnonzero(charge):
         members = by_label[start[c]:start[c] + size[c]]
-        t = int(members[0])
-        flagged = bool(touches_zero[members].any())
-        if flagged:
-            weights = areas[members]
-            position = ((centroids[members] * weights[:, None]).sum(axis=0)
-                        / weights.sum())
-        else:
-            position = centroids[t]
+        cluster = members[members < mesh.n_triangles].tolist()
+        vertex = None
+        if cluster:
+            t, near = cluster[0], mesh.facet_edges[cluster]
+            flagged = bool(touches_zero[cluster].any())
+            weights = areas[cluster]
+            position = ((centroids[cluster] * weights[:, None]).sum(axis=0)
+                        / weights.sum()) if flagged else centroids[t]
+        else:  # the loop of one interior vertex
+            vertex = int(members[0]) - mesh.n_triangles
+            t = int(first_tri[vertex])
+            near = np.flatnonzero((mesh.edges == vertex).any(axis=1))
+            flagged = bool((norms[near] < NORM_FLOOR).any())
+            position = mesh.vertices[vertex]
+            cluster = [t]
         out.append(Singularity(
             triangle=t,
             position=position,
             index=Fraction(int(charge[c]), field.order),
-            local_min_norm=float(norms[mesh.facet_edges[members]].min()),
-            cluster=tuple(members.tolist()),
+            local_min_norm=float(norms[near].min()),
+            vertex=vertex,
+            cluster=tuple(cluster),
             flagged=flagged,
-        ))
-
-    first_tri = np.full(mesh.n_vertices, mesh.n_triangles)
-    np.minimum.at(first_tri, mesh.triangles,
-                  np.arange(mesh.n_triangles)[:, None])
-    for v in np.flatnonzero(w_vert != 0):
-        v = int(v)
-        t = int(first_tri[v])
-        incident = np.flatnonzero((mesh.edges == v).any(axis=1))
-        out.append(Singularity(
-            triangle=t,
-            position=mesh.vertices[v],
-            index=Fraction(int(w_vert[v]), field.order),
-            local_min_norm=float(norms[incident].min()),
-            vertex=v,
-            cluster=(t,),
-            flagged=bool((norms[incident] < NORM_FLOOR).any()),
         ))
 
     out.sort(key=lambda s: (s.index, s.triangle))

@@ -17,16 +17,16 @@ triangle is treated as its own flat 2-d chart; the quadrature rule is a
 symmetric 6-point rule exact through polynomial degree 4, which covers all
 integrands exactly.
 
-The nonlinear solve starts from the smoothing-only solution, sharpened by
-a few smooth-and-renormalise sweeps that let the vortex structure settle,
-and then iterates Newton steps built from the exact second derivative of
-the energy.  Each step factors the symmetric free-dof Hessian once, with
-pivots taken on the diagonal and the symmetric fill-reducing ordering that
-the warm start's factor of the stiffness computed for the whole solve, and
+The nonlinear solve starts from the renormalised smoothing-only solution,
+sharpened, unless it is stationary already, by a few smooth-and-renormalise
+sweeps that let the vortex structure settle, and then iterates Newton steps
+built from the exact second derivative of the energy.  Each step factors
+the symmetric free-dof Hessian once, with pivots taken on the diagonal and
+the fill-reducing ordering of the warm start's factor of the stiffness, and
 a step larger than ``STEP_CAP`` in any component is scaled down to it;
-convergence is tested before each step on the 2-norm of the exact energy
-gradient, never on the linearised residual, so a converged field is a
-genuine stationary point of the functional.
+convergence is tested on the 2-norm of the exact energy gradient, from the
+warm start's first projection on, never on the linearised residual, so a
+converged field is a genuine stationary point of the functional.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class NewtonOptions:
     edge length).  On closed surfaces one edge must be held fixed to pin
     the otherwise free global phase; ``pinned_edge`` supplies it as
     ``(edge_id, (f1, f2))``, or an edge is drawn reproducibly from
-    ``rng_seed``.  ``warmup_rounds`` smooth-and-renormalise sweeps refine
-    the starting field before the Newton iteration proper.
+    ``rng_seed``.  At most ``warmup_rounds`` smooth-and-renormalise sweeps
+    refine the start, and none when its first projection is stationary.
     """
 
     tol: float = 1e-12
@@ -486,16 +486,16 @@ def _project(x, fixed, values):
     x[fixed] = values[fixed]
 
 
-def _warm_start(disc, mask, cvalues, rounds, blocks):
-    """Renormalised smoothing-only field, sharpened by repeated
-    smooth-and-renormalise sweeps through the factorised stiffness, and
-    ``blocks`` (in dof order) in the elimination order of that factor.
+def _warm_start(disc, mask, cvalues, blocks, epsilon, options):
+    """Renormalised smoothing-only field, the 2-norm of its energy gradient
+    over the free dofs, and a copy of ``perm_c`` of the factor of the
+    stiffness's free block (``blocks``, in dof order) that computed it.
 
-    The sweeps let the field's zeros migrate to their natural positions
-    before the stiffer penalty dynamics freeze them in place; each sweep
-    reuses one factorisation, so the warm start costs little.  Every system
-    of the solve has the stiffness's pattern, and a minimum-degree ordering
-    reads only the pattern, so this factor's ordering serves them all.
+    Unless that gradient is at ``options.tol``, up to ``warmup_rounds``
+    smooth-and-renormalise sweeps through the same factor let the field's
+    zeros settle before the penalty freezes them, and the gradient is tested
+    again.  A minimum-degree ordering reads only the pattern, which every
+    system of the solve shares, so this factor's ordering serves them all.
     """
     free = blocks.dofs
     fixed = np.flatnonzero(mask)
@@ -503,25 +503,26 @@ def _warm_start(disc, mask, cvalues, rounds, blocks):
     lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
     x[free] = lu.solve(-bound)
     _project(x, fixed, cvalues)
-    m_diag = disc.lumped_mass()
-    for _ in range(rounds):
-        x[free] = lu.solve((m_diag * x)[free] - bound)
-        _project(x, fixed, cvalues)
-    # lu.perm_c is a view that keeps the whole factor alive: copy it and free
-    # the factor before the ordered blocks are built
-    perm_c = lu.perm_c.copy()
-    del lu
-    return x, _in_elimination_order(blocks, perm_c)
+    # summed in dof order: a permuted vector's norm rounds differently
+    residual = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
+    if options.warmup_rounds and not residual <= options.tol:
+        m_diag = disc.lumped_mass()
+        for _ in range(options.warmup_rounds):
+            x[free] = lu.solve((m_diag * x)[free] - bound)
+            _project(x, fixed, cvalues)
+        residual = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
+    # lu.perm_c is a view that keeps the whole factor alive
+    return x, residual, lu.perm_c.copy()
 
 
 def newton_solve(mesh, edge_frames, order=4, options=None):
     """Drive Newton steps to a stationary point of the discrete energy.
 
     The start is the smoothing-only solution renormalised to unit edge
-    norms and refined by ``options.warmup_rounds`` smooth-and-renormalise
-    sweeps.  The 2-norm of the exact energy gradient over the free dofs is
-    tested before each step, and assembled Newton steps run until it drops
-    to ``tol``, so a stationary start takes no step.  A step whose
+    norms (see ``_warm_start``).  The 2-norm of the exact energy gradient
+    over the free dofs is tested before each step, and assembled Newton
+    steps run until it drops to ``tol``, so a stationary start takes no
+    step and never renumbers the free blocks for one.  A step whose
     infinity norm exceeds ``STEP_CAP`` is scaled down to it.  An energy
     increase between steps is logged as a warning but does not abort;
     exceeding ``max_iter`` returns with ``converged=False``; an exactly
@@ -540,24 +541,23 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     disc = Discretization(mesh, edge_frames, order)
     mask, cvalues, _ = constraint_dofs(mesh, options)
     # every system of the solve has the stiffness's pattern
-    x, blocks = _warm_start(disc, mask, cvalues, options.warmup_rounds,
-                            _free_blocks(disc.stiffness, mask))
-
+    blocks = _free_blocks(disc.stiffness, mask)
+    x, residual, perm_c = _warm_start(disc, mask, cvalues, blocks, epsilon, options)
     free = ~mask
-    ordered = blocks.dofs
-    # summed in dof order: a permuted vector's norm rounds differently
-    residuals = [float(np.linalg.norm(disc.residual(x, epsilon)[free]))]
+    residuals = [residual]
     steps = 0
     prev_energy = None
     # a NaN gradient is never converged: it steps on until the budget ends
     while not (converged := residuals[-1] <= options.tol) and steps < options.max_iter:
+        if not steps:
+            blocks = _in_elimination_order(blocks, perm_c)
         matrix, rhs = disc.newton_system(x, epsilon)
         lu, bound = _factor_free(matrix, mask, cvalues, blocks)
-        step = lu.solve(rhs[ordered] - bound) - x[ordered]
+        step = lu.solve(rhs[blocks.dofs] - bound) - x[blocks.dofs]
         # drop the factor before the next one is built: with two alive at
         # once the heap fragments and the peak memory grows every step
         del lu
-        x[ordered] += step / max(1.0, np.abs(step).max(initial=0.0) / STEP_CAP)
+        x[blocks.dofs] += step / max(1.0, np.abs(step).max(initial=0.0) / STEP_CAP)
         steps += 1
         residuals.append(float(np.linalg.norm(disc.residual(x, epsilon)[free])))
         energy = disc.energy(x, epsilon).total

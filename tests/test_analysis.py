@@ -248,6 +248,30 @@ def test_zero_norm_edge_merges_cluster(disk_cross):
     np.testing.assert_allclose(s.position, expected, rtol=0, atol=1e-15)
 
 
+def test_zero_edges_keep_the_index_sum(disk_cross):
+    """A zeroed interior edge has no angle, but its two triangle loops and
+    its two end vertex loops each read one; folded into one cluster, their
+    charges keep the index sum, also beside the boundary, where the end
+    vertex's open fan otherwise drops its share."""
+    mesh, tf = disk_cross.mesh, disk_cross.tri_frames
+    interior = np.flatnonzero(~mesh.boundary_edge)
+    edges = np.random.default_rng(0).choice(interior, 300, replace=False)
+    beside_boundary = 0
+    for edge in edges:
+        values = disk_cross.field.values.copy()
+        values[edge] = 0.0
+        field = FieldSolution(order=4, values=values,
+                              epsilon=disk_cross.field.epsilon)
+        sings = extract_singularities(mesh, tf, field)
+        assert sum(s.index for s in sings) == 1, edge
+        assert poincare_hopf_check(mesh, sings, field).passed, edge
+        pair = set(mesh.edge_facets[edge].tolist())
+        assert [s.flagged for s in sings
+                if s.vertex is None and pair & set(s.cluster)] in ([], [True])
+        beside_boundary += bool(mesh.boundary_vertex[mesh.edges[edge]].any())
+    assert beside_boundary >= 16
+
+
 def test_singularity_sorting_and_json(disk_cross):
     sings = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
                                   disk_cross.field)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crossfield import (InvalidMeshError, MeshLoadError, QuadMesh,
@@ -491,6 +491,13 @@ def off_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+#: A failing text is reported as generated, unshrunk: under pytest each
+#: failing attempt renders a traceback through NumPy's parser frames (about
+#: 0.15 s), and shrinking a broken reader's example ran for minutes.
+READER_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None,
+                           phases=[Phase.generate])
+
+
 def _assert_reads_as_reference(reader, text, reference, suffix):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"mesh.{suffix}"
@@ -503,13 +510,13 @@ def _assert_reads_as_reference(reader, text, reference, suffix):
     assert np.array_equal(faces.ravel(), want_faces.ravel())
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@READER_PROPERTY
 @given(text=msh_texts())
 def test_msh_reader_matches_per_line_parse(text):
     _assert_reads_as_reference(mesh_module._read_msh, text, _reference_msh, "msh")
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@READER_PROPERTY
 @given(text=off_texts())
 def test_off_reader_matches_per_line_parse(text):
     _assert_reads_as_reference(mesh_module._read_off, text, _reference_off, "off")

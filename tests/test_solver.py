@@ -245,26 +245,31 @@ def test_blocks_to_edges_equals_term_by_term_products():
                     == term_by_term_blocks_to_edges(tf, *blocks).tobytes())
 
 
+def _count_calls(monkeypatch, targets):
+    """Count the calls of each ``(owner, name)`` in ``targets`` by name."""
+    calls = {}
+    for owner, name in targets:
+        def counted(*args, _name=name, _original=getattr(owner, name),
+                    **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_solve_call_structure(monkeypatch):
     """Per Newton step one assembly, one residual, one energy and one
-    factorisation, plus the warm start's factorisation and the gradient
-    test of the start; one quadrature of each iterate, shared by its
-    residual, energy and Newton system."""
+    factorisation, plus the warm start's factorisation and its two gradient
+    tests, after the first projection and after the sweeps; one quadrature
+    of each iterate, shared by its residual, energy and Newton system.  A
+    stationary first projection ends the solve at one factor, one gradient
+    and no Newton system."""
     from crossfield import solver
 
-    calls = {}
-
-    def count(owner, name):
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-
-    for name in ("newton_system", "residual", "energy", "_quadrature"):
-        count(Discretization, name)
-    count(solver, "splu")
+    calls = _count_calls(monkeypatch, [
+        (Discretization, "newton_system"), (Discretization, "residual"),
+        (Discretization, "energy"), (Discretization, "_quadrature"),
+        (solver, "splu")])
     orderings = []
     splu = solver.splu
 
@@ -277,11 +282,20 @@ def test_solve_call_structure(monkeypatch):
                               NewtonOptions(epsilon=0.3, tol=1e-12))
     steps = log.iterations
     assert log.converged and steps > 2
-    assert calls == {"newton_system": steps, "residual": steps + 1,
-                     "energy": steps, "_quadrature": steps + 1,
+    assert calls == {"newton_system": steps, "residual": steps + 2,
+                     "energy": steps, "_quadrature": steps + 2,
                      "splu": steps + 1}
     # the warm start's factor computes the solve's only ordering
     assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * steps
+
+    calls.clear()
+    orderings.clear()
+    mesh = meshes.surface(meshes.lshape_tri, 6)
+    field, log = newton_solve(mesh, build_edge_frames(mesh), 4,
+                              NewtonOptions(tol=1e-12))
+    assert log.converged and log.iterations == 0
+    assert calls == {"residual": 1, "_quadrature": 1, "splu": 1}
+    assert orderings == ["MMD_AT_PLUS_A"]
 
 
 # -- energies and gradients ---------------------------------------------------
@@ -440,9 +454,71 @@ def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
     assert factors == 1
     disc = Discretization(mesh, frames, 4)
     mask, cvalues, _ = constraint_dofs(mesh, options)
-    x, _ = _warm_start(disc, mask, cvalues, options.warmup_rounds,
-                       _free_blocks(disc.stiffness, mask))
+    x, residual, _ = _warm_start(disc, mask, cvalues,
+                                 _free_blocks(disc.stiffness, mask),
+                                 options.resolve_epsilon(mesh), options)
     assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
+    assert log.residuals == (residual,)
+
+
+@pytest.mark.parametrize("generator, n", [(meshes.lshape_tri, 6),
+                                          (meshes.square_grid_tri, 8)],
+                         ids=["lshape", "square"])
+def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
+    """A stationary first projection ends the warm start: no sweep, no
+    lumped mass, and no free blocks renumbered for a step that never
+    comes.  The field is one solve of the factored stiffness, projected."""
+    mesh = meshes.surface(generator, n)
+    frames = build_edge_frames(mesh)
+    options = NewtonOptions(tol=1e-12)
+    calls = _count_calls(monkeypatch, [
+        (solver_module, "_project"), (solver_module, "_in_elimination_order"),
+        (Discretization, "lumped_mass")])
+    field, log = newton_solve(mesh, frames, 4, options)
+    assert log.converged and log.iterations == 0
+    assert calls == {"_project": 1}
+
+    disc = Discretization(mesh, frames, 4)
+    mask, cvalues, _ = constraint_dofs(mesh, options)
+    blocks = _free_blocks(disc.stiffness, mask)
+    lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
+    x = cvalues.copy()
+    x[blocks.dofs] = lu.solve(-bound)
+    _project(x, np.flatnonzero(mask), cvalues)
+    assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
+    gradient = disc.residual(x, options.resolve_epsilon(mesh))[~mask]
+    assert log.residuals == (float(np.linalg.norm(gradient)),)
+
+
+@pytest.mark.parametrize("rounds", [0, 10])
+def test_warm_start_sweeps_match_the_reference_loop(monkeypatch, rounds):
+    """A start far from stationary runs every sweep (none at
+    ``warmup_rounds=0``), with the bits of the loop kept here, and hands
+    back the gradient after them and a copy of the factor's ordering."""
+    mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
+    disc = Discretization(mesh, build_edge_frames(mesh), 4)
+    options = NewtonOptions(epsilon=0.3, warmup_rounds=rounds)
+    mask, cvalues, _ = constraint_dofs(mesh, options)
+    blocks = _free_blocks(disc.stiffness, mask)
+    calls = _count_calls(monkeypatch, [(Discretization, "lumped_mass")])
+    x, residual, perm_c = _warm_start(disc, mask, cvalues, blocks, 0.3,
+                                      options)
+    assert calls == ({"lumped_mass": 1} if rounds else {})
+    monkeypatch.undo()
+
+    free, fixed = blocks.dofs, np.flatnonzero(mask)
+    lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
+    ref = cvalues.copy()
+    ref[free] = lu.solve(-bound)
+    _project(ref, fixed, cvalues)
+    assert np.linalg.norm(disc.residual(ref, 0.3)[free]) > 1.0
+    m_diag = disc.lumped_mass()
+    for _ in range(rounds):
+        ref[free] = lu.solve((m_diag * ref)[free] - bound)
+        _project(ref, fixed, cvalues)
+    assert x.tobytes() == ref.tobytes()
+    assert residual == float(np.linalg.norm(disc.residual(ref, 0.3)[~mask]))
+    assert np.array_equal(perm_c, lu.perm_c) and perm_c.base is None
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -671,7 +747,8 @@ def test_exactly_singular_system_raises_typed_error():
 @pytest.fixture(scope="module", params=["sphere-4", "sphere-6", "lshape-4"])
 def newton_in_elimination_order(request, sphere_mesh):
     """The first Newton system of a solve, the blocks in the elimination
-    order its warm start computed, and the warm start's factor."""
+    order its warm start computed, that ordering, and the warm start's
+    factor."""
     name, order = request.param.split("-")
     mesh = (sphere_mesh if name == "sphere"
             else meshes.surface(meshes.lshape_tri, 8))
@@ -685,12 +762,14 @@ def newton_in_elimination_order(request, sphere_mesh):
         return factors[-1]
     solver_module.splu = recorded
     try:
-        x, blocks = _warm_start(disc, mask, values, 10,
-                                _free_blocks(disc.stiffness, mask))
+        blocks = _free_blocks(disc.stiffness, mask)
+        x, _, perm_c = _warm_start(disc, mask, values, blocks, 0.1,
+                                   NewtonOptions(epsilon=0.1))
     finally:
         solver_module.splu = original
+    blocks = _in_elimination_order(blocks, perm_c)
     matrix, rhs = disc.newton_system(x, 0.1)
-    return matrix, rhs, mask, values, blocks, factors
+    return matrix, rhs, mask, values, blocks, perm_c, factors
 
 
 def test_factor_in_elimination_order_repeats_the_ordering_factor(
@@ -703,7 +782,7 @@ def test_factor_in_elimination_order_repeats_the_ordering_factor(
     marked canonical; the rows are unique and only their order is
     deliberate, and a block with sorted rows fails this test.
     """
-    matrix, rhs, mask, values, blocks, _ = newton_in_elimination_order
+    matrix, rhs, mask, values, blocks, _, _ = newton_in_elimination_order
     assert blocks.permc_spec == "NATURAL"
     ref, ref_bound = _factor_free(matrix, mask, values)
     free_dofs = np.flatnonzero(~mask)
@@ -724,8 +803,8 @@ def test_factor_in_elimination_order_repeats_the_ordering_factor(
 def test_elimination_order_owns_its_memory(newton_in_elimination_order):
     """``lu.perm_c`` is a view that keeps its whole factor alive; nothing
     the Newton loop keeps may lead back to the warm start's factor."""
-    *_, blocks, factors = newton_in_elimination_order
-    arrays = [blocks.dofs] + [getattr(block, name)
+    *_, blocks, perm_c, factors = newton_in_elimination_order
+    arrays = [perm_c, blocks.dofs] + [getattr(block, name)
                               for block in (blocks.free_free, blocks.free_fixed)
                               for name in ("data", "indices", "indptr")]
     for array in arrays:
