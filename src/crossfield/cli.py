@@ -22,8 +22,8 @@ from .fekete import DEFAULT_SQUARE_HEIGHT, fekete_optimize, tilt_sweep
 from .frames import build_edge_frames, triangle_frames
 from .mesh import (InvalidMeshError, MeshLoadError, SurfaceMesh, load_mesh,
                    mean_edge_length, topology_report)
-from .solver import (NewtonOptions, SingularFactorError, constraint_dofs,
-                     gl_energy, newton_solve)
+from .solver import (WARMUP_ROUNDS, NewtonOptions, SingularFactorError,
+                     constraint_dofs, gl_energy, newton_solve)
 from .vtk import write_field_vtk
 
 __all__ = ["main", "run_solve"]
@@ -95,7 +95,7 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
             "tol": tol,
             "max_iter": max_iter,
             "seed": seed,
-            "warmup_rounds": options.warmup_rounds,
+            "warmup_rounds": WARMUP_ROUNDS,
             "pinned_edge": None if pinned is None else [pinned[0], list(pinned[1])],
         },
         "mean_edge_length": mean_edge_length(mesh),

@@ -554,14 +554,14 @@ def _parse_msh(path, lines):
 _READERS = {"off": _read_off, "obj": _read_obj, "msh": _read_msh}
 
 
-def load_mesh(path, format_hint=None):
+def load_mesh(path):
     """Load a triangle or quadrangle surface mesh from a file.
 
     Parameters
     ----------
     path : str or Path
-        Mesh file; format detected from the extension unless ``format_hint``
-        (``"off"``, ``"obj"`` or ``"msh"``) is given.
+        Mesh file; its extension (``.off``, ``.obj`` or ``.msh``, in any
+        case) names the format.
 
     Returns
     -------
@@ -582,7 +582,7 @@ def load_mesh(path, format_hint=None):
     path = Path(path)
     if not path.is_file():
         raise MeshLoadError(f"{path}: no such file")
-    fmt = (format_hint or path.suffix.lstrip(".")).lower()
+    fmt = path.suffix.lstrip(".").lower()
     reader = _READERS.get(fmt)
     if reader is None:
         raise MeshLoadError(f"{path}: cannot detect mesh format {fmt!r}")

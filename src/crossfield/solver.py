@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
@@ -86,6 +86,9 @@ TRI_QUAD_WEIGHTS = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 #: larger change in any component leaves the field's own range.
 STEP_CAP = 1.0
 
+#: Most smooth-and-renormalise sweeps of the warm start.
+WARMUP_ROUNDS = 10
+
 
 def cr_shapes(xi, eta):
     """Evaluate the three edge-midpoint shape functions at ``(xi, eta)``.
@@ -120,20 +123,17 @@ class FieldSolution:
 class NewtonOptions:
     """Controls for the nonlinear solve.
 
-    ``epsilon`` is either a positive number or ``"auto"`` (twice the mean
-    edge length).  On closed surfaces one edge must be held fixed to pin
-    the otherwise free global phase; ``pinned_edge`` supplies it as
-    ``(edge_id, (f1, f2))``, or an edge is drawn reproducibly from
-    ``rng_seed``.  At most ``warmup_rounds`` smooth-and-renormalise sweeps
-    refine the start, and none when its first projection is stationary.
+    ``tol`` bounds the 2-norm of the energy gradient over the free dofs and
+    ``max_iter`` the number of Newton steps.  ``epsilon`` is either a
+    positive number or ``"auto"`` (twice the mean edge length).  On a
+    surface without boundary, ``rng_seed`` draws the edge that pins the
+    otherwise free global phase (see ``constraint_dofs``).
     """
 
     tol: float = 1e-12
     max_iter: int = 100
     epsilon: float | str = "auto"
-    pinned_edge: Optional[tuple[int, tuple[float, float]]] = None
     rng_seed: int = 0
-    warmup_rounds: int = 10
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
@@ -147,8 +147,6 @@ class NewtonOptions:
                     and 1.0 / square < np.inf):
                 raise ValueError("epsilon must be 'auto' or positive, with "
                                  f"eps**2 and 1/eps**2 finite; got {eps!r}")
-        if self.warmup_rounds < 0:
-            raise ValueError("warmup_rounds must be non-negative")
 
     def resolve_epsilon(self, mesh):
         if self.epsilon == "auto":
@@ -352,37 +350,28 @@ class Discretization:
 
 
 def constraint_dofs(mesh, options=None):
-    """Constrained-dof mask, values, and the pinned edge actually used.
+    """Constrained-dof mask, values, and the pinned ``(edge, (1.0, 0.0))``
+    (None on a mesh with boundary).
 
-    Boundary edges are aligned (``(1, 0)`` in their own frames); on closed
-    surfaces one edge is pinned, drawn reproducibly from the options seed
-    unless given explicitly.  The mask and values are laid out like the
-    solution vector, ``[all f1, all f2]``.
+    Every constrained edge holds ``(1, 0)`` in its own frame: the boundary
+    edges, aligning the field with the boundary, or, on a surface without
+    boundary, one edge drawn from ``options.rng_seed``, pinning the free
+    global phase.  Mask and values are laid out like the solution vector,
+    ``[all f1, all f2]``.
     """
     options = options or NewtonOptions()
     n_e = mesh.n_edges
+    edges = np.flatnonzero(mesh.boundary_edge)
+    pinned = None
+    if len(edges) == 0:
+        edge = int(np.random.default_rng(options.rng_seed).integers(n_e))
+        pinned = (edge, (1.0, 0.0))
+        edges = np.array([edge])
     mask = np.zeros(2 * n_e, dtype=bool)
+    mask[edges] = True
+    mask[edges + n_e] = True
     values = np.zeros(2 * n_e)
-    boundary = np.flatnonzero(mesh.boundary_edge)
-    mask[boundary] = True
-    mask[boundary + n_e] = True
-    values[boundary] = 1.0
-
-    pinned = options.pinned_edge
-    if pinned is None and len(boundary) == 0:
-        rng = np.random.default_rng(options.rng_seed)
-        pinned = (int(rng.integers(n_e)), (1.0, 0.0))
-    if pinned is not None:
-        edge, (v1, v2) = pinned
-        if not 0 <= edge < n_e:
-            raise ValueError(f"pinned edge {edge} out of range")
-        mask[edge] = True
-        mask[edge + n_e] = True
-        values[edge] = v1
-        values[edge + n_e] = v2
-    if not mask.any():
-        raise InvalidMeshError(
-            "no constraints: mesh has no boundary and no edge was pinned")
+    values[edges] = 1.0
     return mask, values, pinned
 
 
@@ -474,16 +463,16 @@ def _factor_free(matrix, mask, values, blocks=None):
     return lu, bound
 
 
-def _project(x, fixed, values):
+def _project(x):
     """Rescale each edge of ``x`` (laid out ``[all f1, all f2]``) to unit
-    norm in place, resetting edges whose norm is below 1e-8 to (1, 0), then
-    put back the constrained ``values`` at the ``fixed`` dofs."""
+    norm in place, resetting edges whose norm is below 1e-8 to (1, 0).  A
+    constrained edge holds (1, 0), whose norm is exactly 1, so it keeps its
+    bits."""
     pairs = x.reshape(2, -1)  # a view: row 0 holds every f1, row 1 every f2
     norms = np.linalg.norm(pairs, axis=0)
     small = norms < 1e-8
     np.divide(pairs, norms, out=pairs, where=~small)
     pairs[:, small] = ((1.0,), (0.0,))
-    x[fixed] = values[fixed]
 
 
 def _warm_start(disc, mask, cvalues, blocks, epsilon, options):
@@ -491,25 +480,24 @@ def _warm_start(disc, mask, cvalues, blocks, epsilon, options):
     over the free dofs, and a copy of ``perm_c`` of the factor of the
     stiffness's free block (``blocks``, in dof order) that computed it.
 
-    Unless that gradient is at ``options.tol``, up to ``warmup_rounds``
+    Unless that gradient is at ``options.tol``, ``WARMUP_ROUNDS``
     smooth-and-renormalise sweeps through the same factor let the field's
     zeros settle before the penalty freezes them, and the gradient is tested
     again.  A minimum-degree ordering reads only the pattern, which every
     system of the solve shares, so this factor's ordering serves them all.
     """
     free = blocks.dofs
-    fixed = np.flatnonzero(mask)
     x = cvalues.copy()
     lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
     x[free] = lu.solve(-bound)
-    _project(x, fixed, cvalues)
+    _project(x)
     # summed in dof order: a permuted vector's norm rounds differently
     residual = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
-    if options.warmup_rounds and not residual <= options.tol:
+    if not residual <= options.tol:
         m_diag = disc.lumped_mass()
-        for _ in range(options.warmup_rounds):
+        for _ in range(WARMUP_ROUNDS):
             x[free] = lu.solve((m_diag * x)[free] - bound)
-            _project(x, fixed, cvalues)
+            _project(x)
         residual = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
     # lu.perm_c is a view that keeps the whole factor alive
     return x, residual, lu.perm_c.copy()
@@ -566,7 +554,7 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
             # stationary point they deserve attention
             in_basin = residuals[-2] < 1e-6
             logger.log(logging.WARNING if in_basin else logging.DEBUG,
-                       "energy increased from %.6e to %.6e", prev_energy, energy)
+                       "energy rose by %.3e to %.17g", energy - prev_energy, energy)
         prev_energy = energy
     if not converged:
         logger.warning("no convergence after %d steps (residual %.3e)",
@@ -578,15 +566,13 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     return field_solution, ConvergenceLog(tuple(residuals), converged)
 
 
-def gl_energy(mesh, edge_frames, field, epsilon=None):
-    """Smoothing term, penalty term, and their sum for a given field."""
-    epsilon = field.epsilon if epsilon is None else float(epsilon)
+def gl_energy(mesh, edge_frames, field):
+    """Smoothing term, penalty term, and their sum at the field's epsilon."""
     disc = Discretization(mesh, edge_frames, field.order)
-    return disc.energy(disc.vector_from_values(field.values), epsilon)
+    return disc.energy(disc.vector_from_values(field.values), field.epsilon)
 
 
-def gl_residual(mesh, edge_frames, field, epsilon=None):
-    """Exact energy gradient (one entry per dof, ``[all f1, all f2]``)."""
-    epsilon = field.epsilon if epsilon is None else float(epsilon)
+def gl_residual(mesh, edge_frames, field):
+    """Exact energy gradient at the field's epsilon (``[all f1, all f2]``)."""
     disc = Discretization(mesh, edge_frames, field.order)
-    return disc.residual(disc.vector_from_values(field.values), epsilon)
+    return disc.residual(disc.vector_from_values(field.values), field.epsilon)

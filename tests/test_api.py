@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -37,3 +39,15 @@ def test_every_exported_name_resolves():
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_solve_settings_are_the_ones_callers_set():
+    """Every constrained edge is (1, 0), the warm start runs at most
+    ``WARMUP_ROUNDS`` sweeps, the extension names a mesh file's format and a
+    field carries its own coherence length: no setting overrides these."""
+    fields = [field.name for field in dataclasses.fields(crossfield.NewtonOptions)]
+    assert fields == ["tol", "max_iter", "epsilon", "rng_seed"]
+    assert list(inspect.signature(crossfield.load_mesh).parameters) == ["path"]
+    for function in (crossfield.gl_energy, crossfield.gl_residual):
+        assert list(inspect.signature(function).parameters) == [
+            "mesh", "edge_frames", "field"]

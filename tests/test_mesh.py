@@ -89,14 +89,6 @@ def test_missing_file_and_unknown_format(tmp_path):
         load_mesh(path)
 
 
-def test_format_hint_overrides_extension(tmp_path):
-    verts, tris = meshes.single_triangle()
-    path = tmp_path / "tri.dat"
-    meshes.write_obj(path, verts, tris)
-    mesh = load_mesh(path, format_hint="obj")
-    assert mesh.n_triangles == 1
-
-
 def test_non_manifold_edge_rejected():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]],
                      dtype=float)

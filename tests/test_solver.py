@@ -1,4 +1,5 @@
 import logging
+import re
 import sys
 from functools import lru_cache
 from math import factorial
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix, csr_matrix, diags
 from scipy.sparse.linalg import SuperLU
 
-from crossfield import (CR_GRADIENTS, Discretization, FieldSolution,
+from crossfield import (CR_GRADIENTS, Discretization, EnergyBreakdown,
+                        FieldSolution,
                         InvalidMeshError, NewtonOptions, SingularFactorError,
                         SurfaceMesh, TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS,
                         build_edge_frames,
@@ -21,8 +23,9 @@ from crossfield import solver as solver_module
 from crossfield.analysis import angle_defects
 from crossfield.frames import TriangleFrames
 from crossfield.mesh import boundary_loops
-from crossfield.solver import (_factor_free, _free_blocks, _gather,
-                               _in_elimination_order, _project, _warm_start)
+from crossfield.solver import (WARMUP_ROUNDS, _factor_free, _free_blocks,
+                               _gather, _in_elimination_order, _project,
+                               _warm_start)
 
 import meshes
 
@@ -357,7 +360,7 @@ def test_energy_perturbation_matches_directional_derivative():
 # A huge coherence length switches the penalty off, so the solve returns the
 # smoothing-only solution under the boundary or pin constraints.
 
-SMOOTHING_ONLY = NewtonOptions(epsilon=1e9, warmup_rounds=0)
+SMOOTHING_ONLY = NewtonOptions(epsilon=1e9)
 
 
 def test_laplacian_square_is_exact_constant():
@@ -383,12 +386,16 @@ def test_laplacian_closed_sphere_with_pin_is_finite():
     assert np.isfinite(field.values).all()
 
 
-def test_no_constraints_raises():
+def test_closed_surface_is_pinned_and_disconnected_mesh_raises():
+    """A surface without boundary pins one seed-drawn edge at (1, 0), so
+    every solve has a constraint; a mesh of two components is rejected."""
     mesh = meshes.surface(meshes.octahedron)
     frames = build_edge_frames(mesh)
     options = NewtonOptions(epsilon=0.5)
     mask, values, pinned = constraint_dofs(mesh, options)
-    assert pinned is not None  # closed surface pins one edge automatically
+    edge, held = pinned
+    assert np.flatnonzero(mask).tolist() == [edge, edge + mesh.n_edges]
+    assert values[mask].tolist() == list(held) == [1.0, 0.0]
     with pytest.raises(InvalidMeshError, match="component"):
         disconnected = meshes.surface(meshes.octahedron)
         verts = np.vstack([disconnected.vertices,
@@ -407,8 +414,6 @@ def test_options_validation():
         NewtonOptions(max_iter=0)
     with pytest.raises(ValueError):
         NewtonOptions(epsilon=-0.1)
-    with pytest.raises(ValueError):
-        NewtonOptions(warmup_rounds=-1)
 
 
 # -- the nonlinear solve ------------------------------------------------------
@@ -484,38 +489,39 @@ def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
     lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
     x = cvalues.copy()
     x[blocks.dofs] = lu.solve(-bound)
-    _project(x, np.flatnonzero(mask), cvalues)
+    _project(x)
     assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
     gradient = disc.residual(x, options.resolve_epsilon(mesh))[~mask]
     assert log.residuals == (float(np.linalg.norm(gradient)),)
 
 
-@pytest.mark.parametrize("rounds", [0, 10])
+@pytest.mark.parametrize("rounds", [WARMUP_ROUNDS])
 def test_warm_start_sweeps_match_the_reference_loop(monkeypatch, rounds):
-    """A start far from stationary runs every sweep (none at
-    ``warmup_rounds=0``), with the bits of the loop kept here, and hands
-    back the gradient after them and a copy of the factor's ordering."""
+    """A start far from stationary runs every sweep, with the bits of the
+    loop kept here, and hands back the gradient after them and a copy of
+    the factor's ordering."""
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
     disc = Discretization(mesh, build_edge_frames(mesh), 4)
-    options = NewtonOptions(epsilon=0.3, warmup_rounds=rounds)
+    options = NewtonOptions(epsilon=0.3)
     mask, cvalues, _ = constraint_dofs(mesh, options)
     blocks = _free_blocks(disc.stiffness, mask)
-    calls = _count_calls(monkeypatch, [(Discretization, "lumped_mass")])
+    calls = _count_calls(monkeypatch, [(Discretization, "lumped_mass"),
+                                       (solver_module, "_project")])
     x, residual, perm_c = _warm_start(disc, mask, cvalues, blocks, 0.3,
                                       options)
-    assert calls == ({"lumped_mass": 1} if rounds else {})
+    assert calls == {"lumped_mass": 1, "_project": rounds + 1}
     monkeypatch.undo()
 
-    free, fixed = blocks.dofs, np.flatnonzero(mask)
+    free = blocks.dofs
     lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
     ref = cvalues.copy()
     ref[free] = lu.solve(-bound)
-    _project(ref, fixed, cvalues)
+    _project(ref)
     assert np.linalg.norm(disc.residual(ref, 0.3)[free]) > 1.0
     m_diag = disc.lumped_mass()
     for _ in range(rounds):
         ref[free] = lu.solve((m_diag * ref)[free] - bound)
-        _project(ref, fixed, cvalues)
+        _project(ref)
     assert x.tobytes() == ref.tobytes()
     assert residual == float(np.linalg.norm(disc.residual(ref, 0.3)[~mask]))
     assert np.array_equal(perm_c, lu.perm_c) and perm_c.base is None
@@ -557,12 +563,31 @@ def test_convergence_log_shape(square_cross):
 def test_non_convergence_reported(caplog):
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
     frames = build_edge_frames(mesh)
-    options = NewtonOptions(epsilon=0.25, max_iter=1, warmup_rounds=0)
+    options = NewtonOptions(epsilon=0.25, max_iter=1)
     with caplog.at_level(logging.WARNING, logger="crossfield.solver"):
         field, log = newton_solve(mesh, frames, 4, options)
     assert not log.converged
     assert log.iterations == 1
     assert any("no convergence" in rec.message for rec in caplog.records)
+
+
+def test_energy_rise_log_shows_the_rise(monkeypatch, caplog):
+    """Near a minimum a rise is far below the energy's sixth digit; the log
+    line gives the rise itself and the energy in full."""
+    mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
+    energies = iter([18.96, 18.96 + 8.3e-8])
+    monkeypatch.setattr(Discretization, "energy", lambda self, x, epsilon:
+                        EnergyBreakdown(0.0, 0.0, next(energies)))
+    with caplog.at_level(logging.DEBUG, logger="crossfield.solver"):
+        newton_solve(mesh, build_edge_frames(mesh), 4,
+                     NewtonOptions(epsilon=0.25, max_iter=2))
+    rises = [re.fullmatch(r"energy rose by (\S+) to (\S+)", rec.getMessage())
+             for rec in caplog.records]
+    rises = [(float(m[1]), float(m[2])) for m in rises if m]
+    assert len(rises) == 1
+    rise, energy = rises[0]
+    assert rise != 0.0 and rise == pytest.approx(8.3e-8, rel=1e-3)
+    assert energy == 18.96 + 8.3e-8
 
 
 def test_nan_gradient_runs_the_step_budget(monkeypatch):
@@ -893,7 +918,9 @@ def _renormalized_reference(values, floor=1e-8):
 @pytest.mark.parametrize("seed", range(5))
 def test_projection_matches_copying_reference(seed):
     """``_project`` renormalises in place with the bits of the copying
-    per-edge path, on fields with zero-norm, sub-floor and tiny edges."""
+    per-edge path, on fields with zero-norm, sub-floor and tiny edges; the
+    constrained edges, held at (1, 0), come out bit for bit as they went
+    in."""
     rng = np.random.default_rng(seed)
     n_e = 200
     values = rng.standard_normal((n_e, 2))
@@ -903,11 +930,12 @@ def test_projection_matches_copying_reference(seed):
     values[30:40] = (-0.0, 5e-9)
     values[40:50] *= 1.0000001e-8 / np.linalg.norm(values[40:50], axis=1)[:, None]
     rng.shuffle(values)
-    mask = rng.random(2 * n_e) < 0.2
-    cvalues = np.where(mask, rng.standard_normal(2 * n_e), 0.0)
+    fixed = rng.random(n_e) < 0.2
+    values[fixed] = (1.0, 0.0)
 
     want = np.concatenate([*_renormalized_reference(values).T])
-    want[mask] = cvalues[mask]
     x = np.concatenate([values[:, 0], values[:, 1]])
-    _project(x, np.flatnonzero(mask), cvalues)
+    _project(x)
     assert x.tobytes() == want.tobytes()
+    assert x[:n_e][fixed].tobytes() == np.ones(fixed.sum()).tobytes()
+    assert x[n_e:][fixed].tobytes() == np.zeros(fixed.sum()).tobytes()
