@@ -126,7 +126,13 @@ def triangle_windings(mesh, tri_frames, field):
     near-zero norm, in which case the winding is still computed from the
     angle data but is not individually meaningful.
     """
-    phi = _common_frame_angles(mesh, tri_frames, field)
+    return _triangle_windings(
+        mesh, _common_frame_angles(mesh, tri_frames, field), field)
+
+
+def _triangle_windings(mesh, phi, field):
+    """``triangle_windings`` from the angles ``phi`` of
+    ``_common_frame_angles``."""
     steps = _wrap(np.roll(phi, -1, axis=1) - phi)
     turns = steps.sum(axis=1) / (2.0 * np.pi)
     winding = np.rint(turns).astype(np.int64)
@@ -143,14 +149,13 @@ def angle_defects(mesh):
     return mesh.angle_defect
 
 
-def _vertex_turns(mesh, tri_frames, field):
-    """Turn count of each vertex's midpoint loop before rounding: the
-    wrapped angle increments around its fan, over ``2*pi``, plus the
-    order-scaled angle defect at interior vertices.  A boundary vertex's
-    open fan turns about 0 on a field aligned with the boundary."""
-    phi = _common_frame_angles(mesh, tri_frames, field)
-    total = field.order * np.where(mesh.boundary_vertex, 0.0,
-                                   angle_defects(mesh))
+def _vertex_turns(mesh, phi, order):
+    """Turn count of each vertex's midpoint loop before rounding, from the
+    angles ``phi`` of ``_common_frame_angles``: the wrapped angle
+    increments around its fan, over ``2*pi``, plus the order-scaled angle
+    defect at interior vertices.  A boundary vertex's open fan turns about
+    0 on a field aligned with the boundary."""
+    total = order * np.where(mesh.boundary_vertex, 0.0, angle_defects(mesh))
     for i in range(3):
         # corner at local vertex i+1, between local edges i+1 (in) and i
         # (out); the hop runs with the fan orientation around the vertex
@@ -171,7 +176,8 @@ def vertex_windings(mesh, tri_frames, field):
     (a fraction of the order-scaled defects, far below 1/2 on any
     reasonable mesh).
     """
-    turns = _vertex_turns(mesh, tri_frames, field)
+    turns = _vertex_turns(mesh, _common_frame_angles(mesh, tri_frames, field),
+                          field.order)
     winding = np.rint(turns).astype(np.int64)
     residual = np.abs(turns - winding)
     winding[mesh.boundary_vertex] = 0
@@ -205,8 +211,9 @@ def extract_singularities(mesh, tri_frames, field):
     its triangles, sits at the area-weighted mean of their centroids and is
     flagged.  The result is sorted by ``(index, triangle id)``.
     """
-    w_tri, touches_zero = triangle_windings(mesh, tri_frames, field)
-    turns = _vertex_turns(mesh, tri_frames, field)
+    phi = _common_frame_angles(mesh, tri_frames, field)
+    w_tri, touches_zero = _triangle_windings(mesh, phi, field)
+    turns = _vertex_turns(mesh, phi, field.order)
     norms = field.norms()
     centroids = mesh.triangle_centroids()
     areas = mesh.triangle_areas()

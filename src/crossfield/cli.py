@@ -23,7 +23,7 @@ from .frames import build_edge_frames, triangle_frames
 from .mesh import (InvalidMeshError, MeshLoadError, SurfaceMesh, load_mesh,
                    mean_edge_length, topology_report)
 from .solver import (WARMUP_ROUNDS, NewtonOptions, SingularFactorError,
-                     constraint_dofs, gl_energy, newton_solve)
+                     gl_energy, newton_solve)
 from .vtk import write_field_vtk
 
 __all__ = ["main", "run_solve"]
@@ -84,7 +84,7 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
     energy = gl_energy(mesh, edge_frames, field)
     timings["analysis"] = time.perf_counter() - t0
 
-    _, _, pinned = constraint_dofs(mesh, options)
+    pinned = log.pinned_edge
     report = {
         "input": str(mesh_path),
         "topology": topo.to_dict(),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import InvalidMeshError
+from .mesh import InvalidMeshError, _cross, _dot, _norm
 
 __all__ = [
     "EdgeFrames",
@@ -89,13 +89,25 @@ class TriangleFrames:
         k[:, 3:, 3:] = pss + qsc + qcs + vcc
         return k
 
+    def diagonal_blocks_to_edges(self, s):
+        """``blocks_to_edges(s, 0.0, s)`` without the products of its zero
+        block, which changes only the signs of exact zeros."""
+        left_c, left_s = self.cos[:, :, None] * s, self.sin[:, :, None] * s
+        cj, sj = self.cos[:, None, :], self.sin[:, None, :]
+        k = np.empty((len(self.cos), 6, 6))
+        k[:, :3, :3] = k[:, 3:, 3:] = left_c * cj + left_s * sj
+        k[:, :3, 3:] = left_c * sj - left_s * cj
+        k[:, 3:, :3] = left_s * cj - left_c * sj
+        return k
+
 
 def _normalize(v, what, tol=1e-14):
-    nrm = np.linalg.norm(v, axis=-1)
+    """The component triple ``v`` over its norm."""
+    nrm = _norm(v)
     if np.any(nrm < tol):
         bad = np.flatnonzero(nrm < tol)[:5]
         raise InvalidMeshError(f"cannot normalise {what} at {bad.tolist()}")
-    return v / nrm[..., None]
+    return v / nrm
 
 
 def build_edge_frames(mesh):
@@ -111,26 +123,28 @@ def build_edge_frames(mesh):
         If two adjacent triangles have (nearly) opposite normals, so their
         average vanishes (fold-over); the message names the edge.
     """
-    normals = mesh.triangle_normals()
-    n_sum = normals[mesh.edge_facets[:, 0]].copy()
-    interior = mesh.edge_facets[:, 1] >= 0
-    n_sum[interior] += normals[mesh.edge_facets[interior, 1]]
+    normals = mesh.triangle_normals().T
+    first, second = mesh.edge_facets.T  # second is -1 on boundary edges
+    n_sum = np.take(normals, first, axis=1)
+    np.add(n_sum, np.take(normals, second, axis=1), out=n_sum, where=second >= 0)
 
-    nrm = np.linalg.norm(n_sum, axis=1)
+    nrm = _norm(n_sum)
     bad = nrm < 1e-8
     if bad.any():
         edges = mesh.edges[np.flatnonzero(bad)[:5]]
         raise InvalidMeshError(
             f"opposite adjacent triangle normals (fold-over) at edges {edges.tolist()}"
         )
-    n_hat = n_sum / nrm[:, None]
-    e_hat = _normalize(mesh.edge_vectors(), "edge directions")
-    n_hat = n_hat - (n_hat * e_hat).sum(axis=1)[:, None] * e_hat
-    n_hat = _normalize(n_hat, "edge normals")
-    t_hat = np.cross(n_hat, e_hat)
-    for arr in (e_hat, t_hat, n_hat):
+    n_hat = n_sum / nrm
+    xyz = mesh.vertices.T
+    e_hat = _normalize(np.take(xyz, mesh.edges[:, 1], axis=1)
+                       - np.take(xyz, mesh.edges[:, 0], axis=1), "edge directions")
+    n_hat = _normalize(n_hat - _dot(n_hat, e_hat) * e_hat, "edge normals")
+    # (n_edges, 3) views of the component rows
+    frames = [a.T for a in (e_hat, _cross(n_hat, e_hat), n_hat)]
+    for arr in frames:
         arr.setflags(write=False)
-    return EdgeFrames(e_hat=e_hat, t_hat=t_hat, n_hat=n_hat)
+    return EdgeFrames(*frames)
 
 
 def triangle_frames(mesh, edge_frames, order=4):
@@ -149,21 +163,21 @@ def triangle_frames(mesh, edge_frames, order=4):
     """
     if order < 1:
         raise ValueError(f"symmetry order must be at least 1, got {order}")
-    n_tri = mesh.triangle_normals()
-    e = edge_frames.e_hat[mesh.facet_edges]            # (m, 3, 3)
-    proj = e - (e * n_tri[:, None, :]).sum(axis=2)[:, :, None] * n_tri[:, None, :]
-    nrm = np.linalg.norm(proj, axis=2)
+    # component, local edge, triangle: every product runs along triangles
+    n_tri = mesh.triangle_normals().T[:, None]         # (3, 1, m)
+    e = np.take(edge_frames.e_hat.T, mesh.facet_edges.T, axis=1)  # (3, 3, m)
+    proj = e - _dot(e, n_tri) * n_tri
+    nrm = _norm(proj)
     if np.any(nrm < 1e-8):
-        bad = np.argwhere(nrm < 1e-8)[:5]
+        bad = np.argwhere(nrm.T < 1e-8)[:5]
         raise InvalidMeshError(
             f"edge frame projects to zero in triangle plane at (triangle, edge) {bad.tolist()}"
         )
-    u = proj / nrm[:, :, None]
-    ref = u[:, 0, :]
-    cross = np.cross(u, ref[:, None, :])
-    sin_a = (cross * n_tri[:, None, :]).sum(axis=2)
-    cos_a = (u * ref[:, None, :]).sum(axis=2)
-    alpha = np.arctan2(sin_a, cos_a)
+    u = proj / nrm
+    ref = u[:, :1]
+    sin_a = _dot(_cross(u, ref), n_tri)
+    cos_a = _dot(u, ref)
+    alpha = np.ascontiguousarray(np.arctan2(sin_a, cos_a).T)
     alpha[:, 0] = 0.0
     cos, sin = np.cos(order * alpha), np.sin(order * alpha)
     for arr in (alpha, cos, sin):

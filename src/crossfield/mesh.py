@@ -109,6 +109,25 @@ def _build_edge_tables(facets, n_vertices):
     return edges, facet_edges, edge_facets, boundary_edge
 
 
+def _dot(a, b):
+    """Dot product of the component triples ``a`` and ``b`` (three arrays
+    each, or arrays whose first axis is x, y, z), summed as NumPy's axis
+    sums and ``einsum`` do: from 0.0, then x, y and z in turn."""
+    return 0.0 + a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    """Cross product of component triples, as ``np.cross`` forms it."""
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _norm(a):
+    """Euclidean norm of a component triple, as ``np.linalg.norm`` sums it."""
+    return np.sqrt(_dot(a, a))
+
+
 def _components(pairs, n):
     """Connected components of the graph on ``n`` nodes linked by ``pairs``.
 
@@ -123,7 +142,7 @@ def _components(pairs, n):
 class _FacetMesh:
     """Shared connectivity machinery of triangle and quad meshes."""
 
-    def __init__(self, vertices, facets, facet_name):
+    def __init__(self, vertices, facets, facet_name, width):
         vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         facets = np.ascontiguousarray(np.asarray(facets, dtype=np.int64))
         if vertices.ndim != 2 or vertices.shape[1] != 3:
@@ -134,6 +153,9 @@ class _FacetMesh:
                 f"vertices {bad[:5].tolist()} have non-finite coordinates")
         if facets.ndim != 2:
             raise InvalidMeshError(f"{facet_name} must be a 2-d index array")
+        if facets.shape[1] != width:
+            raise InvalidMeshError(f"{facet_name} must have {width} vertices "
+                                   f"each, not {facets.shape[1]}")
         if len(facets) == 0:
             raise InvalidMeshError(f"mesh has no {facet_name}")
         if facets.min(initial=0) < 0 or facets.max(initial=-1) >= len(vertices):
@@ -175,7 +197,7 @@ class _FacetMesh:
         return self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
 
     def edge_lengths(self):
-        return np.linalg.norm(self.edge_vectors(), axis=1)
+        return _norm(self.edge_vectors().T)
 
     def is_closed(self):
         return not self.boundary_edge.any()
@@ -203,24 +225,24 @@ class SurfaceMesh(_FacetMesh):
     """
 
     def __init__(self, vertices, triangles):
-        super().__init__(vertices, triangles, "triangles")
-        p = self.vertices[self.facets]
-        cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        two_area = np.linalg.norm(cross, axis=1)
-        sides = np.roll(p, -1, axis=1) - p  # side i runs from corner i to i+1
-        lengths = np.linalg.norm(sides, axis=2)
+        super().__init__(vertices, triangles, "triangles", 3)
+        p = np.take(self.vertices.T, self.facets.T, axis=1)  # [xyz, corner, t]
+        cross = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        two_area = _norm(cross)
+        sides = np.take(p, [1, 2, 0], axis=1) - p  # side i: corner i to i+1
+        lengths = _norm(sides)
         self._areas = 0.5 * two_area
-        degenerate = self._areas <= 1e-12 * lengths.max(axis=1)**2
+        degenerate = self._areas <= 1e-12 * lengths.max(axis=0)**2
         if degenerate.any():
             bad = np.flatnonzero(degenerate)[:10]
             raise InvalidMeshError(f"degenerate (zero-area) triangles: {bad.tolist()}")
-        self._normals = cross / two_area[:, None]
+        self._normals = (cross / two_area).T
         # corner i lies between side i and side i-1 reversed
-        cosine = -(sides * np.roll(sides, 1, axis=1)).sum(axis=2) / (
-            lengths * np.roll(lengths, 1, axis=1))
+        cosine = -_dot(sides, np.take(sides, [2, 0, 1], axis=1)) / (
+            lengths * lengths[[2, 0, 1]])
         corners = np.arccos(np.clip(cosine, -1.0, 1.0))
         self.angle_defect = 2.0 * np.pi - np.bincount(
-            self.facets.T.ravel(), corners.T.ravel(), minlength=self.n_vertices)
+            self.facets.T.ravel(), corners.ravel(), minlength=self.n_vertices)
         for arr in (self._normals, self._areas, self.angle_defect):
             arr.setflags(write=False)
 
@@ -233,7 +255,8 @@ class SurfaceMesh(_FacetMesh):
         return len(self.facets)
 
     def triangle_normals(self):
-        """Unit outward normals, from the counterclockwise vertex order."""
+        """Unit outward normals, (m, 3), from the counterclockwise vertex
+        order; their transpose holds one row per component."""
         return self._normals
 
     def triangle_areas(self):
@@ -247,7 +270,7 @@ class QuadMesh(_FacetMesh):
     """Indexed quadrangle mesh with derived edge table and boundary flags."""
 
     def __init__(self, vertices, quads):
-        super().__init__(vertices, quads, "quads")
+        super().__init__(vertices, quads, "quads", 4)
 
     @property
     def quads(self):

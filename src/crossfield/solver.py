@@ -42,7 +42,8 @@ from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import spsolve  # unused here; perfbench/tracing.py wraps it
 
 from .frames import EdgeFrames, triangle_frames
-from .mesh import InvalidMeshError, SurfaceMesh, mean_edge_length
+from .mesh import (InvalidMeshError, SurfaceMesh, _cross, _dot, _norm,
+                   mean_edge_length)
 
 logger = logging.getLogger(__name__)
 
@@ -156,10 +157,13 @@ class NewtonOptions:
 
 @dataclass(frozen=True)
 class ConvergenceLog:
-    """Gradient norms of a nonlinear solve: at the start, then per step."""
+    """Gradient norms of a nonlinear solve: at the start, then per step;
+    and the pinned ``(edge, (1.0, 0.0))`` that the solve held, as
+    ``constraint_dofs`` drew it (None on a mesh with boundary)."""
 
     residuals: tuple[float, ...]
     converged: bool
+    pinned_edge: tuple[int, tuple[float, float]] | None = None
 
     @property
     def iterations(self):
@@ -196,23 +200,23 @@ class Discretization:
         self.order = order
         self.tri_frames = triangle_frames(mesh, edge_frames, order)
 
-        p = mesh.vertices[mesh.triangles]
+        # each triangle's 2-d chart: e1 along its x axis, e2 at (q2x, q2y)
+        p = np.take(mesh.vertices.T, mesh.triangles.T, axis=1)
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
         self.areas = mesh.triangle_areas()
-        u = e1 / np.linalg.norm(e1, axis=1)[:, None]
-        v = np.cross(mesh.triangle_normals(), u)
-        q1x = np.linalg.norm(e1, axis=1)
-        q2x = (e2 * u).sum(axis=1)
-        q2y = (e2 * v).sum(axis=1)
+        q1x = _norm(e1)
+        u = e1 / q1x
+        q2x = _dot(e2, u)
+        q2y = _dot(e2, _cross(mesh.triangle_normals().T, u))
         det = q1x * q2y
-        inv_t = np.zeros((len(p), 2, 2))
-        inv_t[:, 0, 0] = q2y / det
-        inv_t[:, 1, 0] = -q2x / det
-        inv_t[:, 1, 1] = q1x / det
-        gradients = np.einsum("tab,mb->tma", inv_t, CR_GRADIENTS)
-        self.stiffness_blocks = self.areas[:, None, None] * np.einsum(
-            "tma,tna->tmn", gradients, gradients)
+        # the gradients through the inverse transposed Jacobian [[a, 0], [b,
+        # c]], and their products, each summed from 0.0 as einsum sums them
+        a, b, c = q2y / det, -q2x / det, q1x / det
+        gx, gy = CR_GRADIENTS[:, :1], CR_GRADIENTS[:, 1:]
+        g0, g1 = 0.0 + gx * a + 0.0 * gy, 0.0 + gx * b + gy * c  # (3, m) each
+        blocks = self.areas * (0.0 + g0[:, None] * g0 + g1[:, None] * g1)
+        self.stiffness_blocks = np.ascontiguousarray(blocks.transpose(2, 0, 1))
 
         self.shape_table = cr_shapes(TRI_QUAD_POINTS[:, 0], TRI_QUAD_POINTS[:, 1])
 
@@ -271,8 +275,7 @@ class Discretization:
         """Global stiffness matrix (CSR), built on first use: the energy
         alone never reads it.  This one COO assembly fixes the pattern of
         every later system."""
-        k = self.tri_frames.blocks_to_edges(self.stiffness_blocks, 0.0,
-                                            self.stiffness_blocks)
+        k = self.tri_frames.diagonal_blocks_to_edges(self.stiffness_blocks)
         return coo_matrix((k.ravel(), self._entries()),
                           shape=(self.n_dofs, self.n_dofs)).tocsr()
 
@@ -519,6 +522,7 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     Returns
     -------
     (FieldSolution, ConvergenceLog)
+        The log also names the edge pinned at (1, 0) on a closed surface.
     """
     options = options or NewtonOptions()
     count, _ = mesh.vertex_component_labels()
@@ -527,7 +531,7 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
             f"solver requires a single connected component, found {count}")
     epsilon = options.resolve_epsilon(mesh)
     disc = Discretization(mesh, edge_frames, order)
-    mask, cvalues, _ = constraint_dofs(mesh, options)
+    mask, cvalues, pinned = constraint_dofs(mesh, options)
     # every system of the solve has the stiffness's pattern
     blocks = _free_blocks(disc.stiffness, mask)
     x, residual, perm_c = _warm_start(disc, mask, cvalues, blocks, epsilon, options)
@@ -563,7 +567,7 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     field_solution = FieldSolution(order=order,
                                    values=disc.values_from_vector(x),
                                    epsilon=epsilon)
-    return field_solution, ConvergenceLog(tuple(residuals), converged)
+    return field_solution, ConvergenceLog(tuple(residuals), converged, pinned)
 
 
 def gl_energy(mesh, edge_frames, field):

@@ -309,6 +309,43 @@ def test_solve_sphere_cross(capsys, sphere_off):
     assert payload["options"]["pinned_edge"] is not None
 
 
+def test_run_solve_draws_the_pinned_edge_once(monkeypatch, sphere_off,
+                                              square_off, tmp_path):
+    """The report's pinned edge is the one the solve held at (1, 0): one
+    ``constraint_dofs`` call per solve, wherever it is looked up."""
+    from crossfield import solver
+
+    calls = []
+    solves = []
+    constraint_dofs, newton_solve = solver.constraint_dofs, cli.newton_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return constraint_dofs(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        solves.append(newton_solve(*args, **kwargs))
+        return solves[-1]
+
+    for module in (cli, solver):
+        monkeypatch.setattr(module, "constraint_dofs", counted, raising=False)
+    monkeypatch.setattr(cli, "newton_solve", recorded)
+    for seed in (0, 3):
+        calls.clear()
+        code, report = cli.run_solve(str(sphere_off), epsilon=0.15, seed=seed,
+                                     out_field=str(tmp_path / "f.vtk"))
+        (field, log), = solves[-1:]
+        edge, value = report["options"]["pinned_edge"]
+        assert code == 0 and len(calls) == 1
+        assert log.pinned_edge == (edge, (1.0, 0.0)) and value == [1.0, 0.0]
+        assert field.values[edge].tolist() == [1.0, 0.0]
+    calls.clear()
+    code, report = cli.run_solve(str(square_off), epsilon=0.2)
+    assert code == 0 and len(calls) == 1
+    assert report["options"]["pinned_edge"] is None
+    assert solves[-1][1].pinned_edge is None
+
+
 def test_solve_non_convergence_exit(capsys, sphere_off):
     code, out, _ = run_cli(capsys, "solve", "--mesh", str(sphere_off),
                            "--epsilon", "0.15", "--max-iter", "1")

@@ -117,6 +117,13 @@ def test_repeated_vertex_rejected():
         SurfaceMesh(verts, np.array([[0, 1, 1]]))
 
 
+def test_surface_mesh_accepts_only_triangles():
+    with pytest.raises(InvalidMeshError, match="3 vertices each, not 4"):
+        SurfaceMesh(*meshes.square_grid_quads(4))
+    with pytest.raises(InvalidMeshError, match="4 vertices each, not 3"):
+        QuadMesh(*meshes.square_grid_tri(4))
+
+
 def test_unreferenced_vertices_pruned(caplog):
     verts, tris = meshes.single_triangle()
     verts = np.vstack([verts, [[5.0, 5.0, 5.0]]])
@@ -278,7 +285,7 @@ def test_mean_edge_length_values():
     mesh = SurfaceMesh(verts, tris)
     assert mean_edge_length(mesh) == pytest.approx((1 + 1 + np.sqrt(2)) / 3, abs=1e-15)
 
-    grid = meshes.surface(meshes.square_grid_quads, 4)
+    grid = meshes.quad(meshes.square_grid_quads, 4)
     assert mean_edge_length(grid) == pytest.approx(0.25, abs=1e-15)
 
     octa = meshes.surface(meshes.octahedron)
