@@ -9,10 +9,10 @@ provides logarithmic-energy point configurations on the sphere as an
 independent placement oracle.
 """
 
-from .analysis import (PoincareHopfReport, Singularity, angle_defects,
-                       edge_angles, extract_singularities,
-                       poincare_hopf_check, singularities_to_json,
-                       triangle_windings, vertex_windings, winding_total)
+from .analysis import (PoincareHopfReport, Singularity, edge_angles,
+                       extract_singularities, poincare_hopf_check,
+                       singularities_to_json, triangle_windings,
+                       vertex_windings, winding_total)
 from .audit import IndexAudit, IrregularVertex, audit, regular_mesh_feasible
 from .fekete import (DEFAULT_SQUARE_HEIGHT, PointConfiguration,
                      align_point_sets, fekete_optimize,
@@ -56,7 +56,6 @@ __all__ = [
     "TopologyReport",
     "TriangleFrames",
     "align_point_sets",
-    "angle_defects",
     "audit",
     "boundary_loops",
     "build_edge_frames",

@@ -28,7 +28,6 @@ __all__ = [
     "PoincareHopfReport",
     "edge_angles",
     "triangle_windings",
-    "angle_defects",
     "vertex_windings",
     "winding_total",
     "extract_singularities",
@@ -143,19 +142,13 @@ def _triangle_windings(mesh, phi, field):
     return winding, flagged
 
 
-def angle_defects(mesh):
-    """Angle defect (2*pi minus the incident corner angles) per vertex,
-    computed once with the mesh."""
-    return mesh.angle_defect
-
-
 def _vertex_turns(mesh, phi, order):
     """Turn count of each vertex's midpoint loop before rounding, from the
     angles ``phi`` of ``_common_frame_angles``: the wrapped angle
     increments around its fan, over ``2*pi``, plus the order-scaled angle
     defect at interior vertices.  A boundary vertex's open fan turns about
     0 on a field aligned with the boundary."""
-    total = order * np.where(mesh.boundary_vertex, 0.0, angle_defects(mesh))
+    total = order * np.where(mesh.boundary_vertex, 0.0, mesh.angle_defect)
     for i in range(3):
         # corner at local vertex i+1, between local edges i+1 (in) and i
         # (out); the hop runs with the fan orientation around the vertex
@@ -197,26 +190,26 @@ def winding_total(mesh, tri_frames, field):
 
 
 def extract_singularities(mesh, tri_frames, field):
-    """All nonzero windings of the field, as indexed critical points.
+    """All nonzero windings of the field, as indexed critical points, and
+    the triangle windings of ``triangle_windings``, from one angle pass.
 
     Triangle-seated charges are reported at triangle centroids and
-    vertex-seated charges at the vertex position with an adjacent triangle
-    as the representative.  An interior edge of near-zero norm has no
-    angle, yet the loops of its two triangles and of its two end vertices
+    vertex-seated charges at the vertex position with its lowest-numbered
+    triangle as the representative.  An interior edge of near-zero norm has
+    no angle, yet the loops of its two triangles and of its two end vertices
     each read one, so those loops, and all loops linked to them through
     other such edges, form one cluster reporting their summed winding: a
     critical point sitting on such an edge has no single-cell location.
     The vertex loops of a cluster are summed before rounding, and a
     boundary vertex's open fan counts only in a cluster.  A cluster lists
     its triangles, sits at the area-weighted mean of their centroids and is
-    flagged.  The result is sorted by ``(index, triangle id)``.
+    flagged.  Returns ``(singularities, winding)``, the singularities sorted
+    by ``(index, triangle id)``.
     """
     phi = _common_frame_angles(mesh, tri_frames, field)
     w_tri, touches_zero = _triangle_windings(mesh, phi, field)
     turns = _vertex_turns(mesh, phi, field.order)
     norms = field.norms()
-    centroids = mesh.triangle_centroids()
-    areas = mesh.triangle_areas()
 
     near_zero = (norms < NORM_FLOOR) & ~mesh.boundary_edge
     facets = mesh.edge_facets[near_zero]
@@ -236,9 +229,6 @@ def extract_singularities(mesh, tri_frames, field):
     size = np.bincount(labels)
     start = np.cumsum(size) - size
 
-    first_tri = np.full(mesh.n_vertices, mesh.n_triangles)
-    np.minimum.at(first_tri, mesh.triangles,
-                  np.arange(mesh.n_triangles)[:, None])
     out = []
     for c in np.flatnonzero(charge):
         members = by_label[start[c]:start[c] + size[c]]
@@ -247,12 +237,13 @@ def extract_singularities(mesh, tri_frames, field):
         if cluster:
             t, near = cluster[0], mesh.facet_edges[cluster]
             flagged = bool(touches_zero[cluster].any())
-            weights = areas[cluster]
-            position = ((centroids[cluster] * weights[:, None]).sum(axis=0)
-                        / weights.sum()) if flagged else centroids[t]
+            centroids = mesh.vertices[mesh.triangles[cluster]].mean(axis=1)
+            weights = mesh.triangle_areas()[cluster]
+            position = ((centroids * weights[:, None]).sum(axis=0)
+                        / weights.sum()) if flagged else centroids[0]
         else:  # the loop of one interior vertex
             vertex = int(members[0]) - mesh.n_triangles
-            t = int(first_tri[vertex])
+            t = int(np.argmax((mesh.triangles == vertex).any(axis=1)))
             near = np.flatnonzero((mesh.edges == vertex).any(axis=1))
             flagged = bool((norms[near] < NORM_FLOOR).any())
             position = mesh.vertices[vertex]
@@ -268,7 +259,7 @@ def extract_singularities(mesh, tri_frames, field):
         ))
 
     out.sort(key=lambda s: (s.index, s.triangle))
-    return out
+    return out, w_tri
 
 
 def _boundary_corner_sum(mesh, order):
@@ -278,7 +269,7 @@ def _boundary_corner_sum(mesh, order):
     nearest multiple of ``1/order`` to ``(pi - beta) / (2*pi)``; straight
     boundary vertices contribute zero.
     """
-    interior_angle = 2.0 * np.pi - angle_defects(mesh)[mesh.boundary_vertex]
+    interior_angle = 2.0 * np.pi - mesh.angle_defect[mesh.boundary_vertex]
     turns = order * (np.pi - interior_angle) / (2.0 * np.pi)
     return Fraction(int(np.rint(turns).sum()), order)
 

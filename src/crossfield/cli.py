@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from .analysis import (extract_singularities, poincare_hopf_check,
-                       singularities_to_json, triangle_windings)
+                       singularities_to_json)
 from .audit import audit
 from .fekete import DEFAULT_SQUARE_HEIGHT, fekete_optimize, tilt_sweep
 from .frames import build_edge_frames, triangle_frames
@@ -78,8 +78,7 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
 
     t0 = time.perf_counter()
     tri_frames = triangle_frames(mesh, edge_frames, symmetry)
-    windings, _ = triangle_windings(mesh, tri_frames, field)
-    singularities = extract_singularities(mesh, tri_frames, field)
+    singularities, windings = extract_singularities(mesh, tri_frames, field)
     ph = poincare_hopf_check(mesh, singularities, field)
     energy = gl_energy(mesh, edge_frames, field)
     timings["analysis"] = time.perf_counter() - t0

@@ -141,6 +141,9 @@ class NewtonOptions:
             raise ValueError(f"tol must be positive and finite; got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError(
+                f"rng_seed must be non-negative; got {self.rng_seed!r}")
         if self.epsilon != "auto":
             eps = float(self.epsilon)
             square = eps * eps

@@ -31,8 +31,8 @@ def aligned_gap(singularities, count, seed=0):
 
 def test_criterion_1_sphere_cross_field(sphere_cross):
     log = sphere_cross.log
-    sings = extract_singularities(sphere_cross.mesh, sphere_cross.tri_frames,
-                                  sphere_cross.field)
+    sings, _ = extract_singularities(
+        sphere_cross.mesh, sphere_cross.tri_frames, sphere_cross.field)
     index_sum = sum((s.index for s in sings), Fraction(0))
     chi = topology_report(sphere_cross.mesh).chi
     ok = (log.converged
@@ -49,8 +49,8 @@ def test_criterion_1_sphere_cross_field(sphere_cross):
 
 
 def test_criterion_2_anticube_geometry(sphere_cross):
-    sings = extract_singularities(sphere_cross.mesh, sphere_cross.tri_frames,
-                                  sphere_cross.field)
+    sings, _ = extract_singularities(
+        sphere_cross.mesh, sphere_cross.tri_frames, sphere_cross.field)
     tolerance = 2 * mean_edge_length(sphere_cross.mesh)
     gap = aligned_gap(sings, 8)
 
@@ -66,9 +66,9 @@ def test_criterion_2_anticube_geometry(sphere_cross):
 
 def test_criterion_3_asterisk_field(sphere_asterisk):
     log = sphere_asterisk.log
-    sings = extract_singularities(sphere_asterisk.mesh,
-                                  sphere_asterisk.tri_frames,
-                                  sphere_asterisk.field)
+    sings, _ = extract_singularities(sphere_asterisk.mesh,
+                                     sphere_asterisk.tri_frames,
+                                     sphere_asterisk.field)
     index_sum = sum((s.index for s in sings), Fraction(0))
     tolerance = 2 * mean_edge_length(sphere_asterisk.mesh)
     gap = aligned_gap(sings, 12)
@@ -83,23 +83,23 @@ def test_criterion_3_asterisk_field(sphere_asterisk):
 
 
 def test_criterion_4_bounded_domains(square_cross, lshape_cross, disk_cross):
-    square_sings = extract_singularities(square_cross.mesh,
-                                         square_cross.tri_frames,
-                                         square_cross.field)
+    square_sings, _ = extract_singularities(square_cross.mesh,
+                                            square_cross.tri_frames,
+                                            square_cross.field)
     square_ph = poincare_hopf_check(square_cross.mesh, square_sings,
                                     square_cross.field)
     square_ok = (square_sings == [] and square_ph.passed
                  and square_ph.corner_sum == 1)
 
-    lshape_sings = extract_singularities(lshape_cross.mesh,
-                                         lshape_cross.tri_frames,
-                                         lshape_cross.field)
+    lshape_sings, _ = extract_singularities(lshape_cross.mesh,
+                                            lshape_cross.tri_frames,
+                                            lshape_cross.field)
     lshape_ph = poincare_hopf_check(lshape_cross.mesh, lshape_sings,
                                     lshape_cross.field)
     lshape_ok = lshape_ph.interior_sum + lshape_ph.corner_sum == 1
 
-    disk_sings = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
-                                       disk_cross.field)
+    disk_sings, _ = extract_singularities(
+        disk_cross.mesh, disk_cross.tri_frames, disk_cross.field)
     disk_sum = sum((s.index for s in disk_sings), Fraction(0))
     # disk diameter 2; the coherence length used is within the stated bound
     disk_ok = (disk_cross.field.epsilon <= 0.15 * 2.0

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from crossfield import (FieldSolution, SurfaceMesh, build_edge_frames,
                         poincare_hopf_check, singularities_to_json,
                         triangle_frames, triangle_windings,
                         vertex_windings, winding_total)
+from crossfield import analysis
+from crossfield.mesh import _components
 
 import meshes
 
@@ -124,7 +127,7 @@ def test_synthetic_field_charge_bookkeeping():
     assert gaps.min(axis=1).max() < 0.08
 
     # a vertex-seated charge is reported on its lowest-numbered triangle
-    seated = [s for s in extract_singularities(mesh, tf, field)
+    seated = [s for s in extract_singularities(mesh, tf, field)[0]
               if s.vertex is not None]
     assert len(seated) == np.count_nonzero(w_vert) > 0
     for s in seated:
@@ -148,8 +151,8 @@ def test_windings_invariant_under_global_rotation(disk_cross):
 
 
 def test_sphere_cross_extraction(sphere_cross):
-    sings = extract_singularities(sphere_cross.mesh, sphere_cross.tri_frames,
-                                  sphere_cross.field)
+    sings, _ = extract_singularities(
+        sphere_cross.mesh, sphere_cross.tri_frames, sphere_cross.field)
     assert len(sings) == 8
     assert all(s.index == Fraction(1, 4) for s in sings)
     assert winding_total(sphere_cross.mesh, sphere_cross.tri_frames,
@@ -165,9 +168,9 @@ def test_sphere_cross_extraction(sphere_cross):
 
 
 def test_sphere_asterisk_extraction(sphere_asterisk):
-    sings = extract_singularities(sphere_asterisk.mesh,
-                                  sphere_asterisk.tri_frames,
-                                  sphere_asterisk.field)
+    sings, _ = extract_singularities(sphere_asterisk.mesh,
+                                     sphere_asterisk.tri_frames,
+                                     sphere_asterisk.field)
     assert len(sings) == 12
     assert all(s.index == Fraction(1, 6) for s in sings)
     assert winding_total(sphere_asterisk.mesh, sphere_asterisk.tri_frames,
@@ -180,16 +183,16 @@ def test_torus_charge_balance(torus_cross):
     assert torus_cross.log.converged
     assert winding_total(torus_cross.mesh, torus_cross.tri_frames,
                          torus_cross.field) == 0
-    sings = extract_singularities(torus_cross.mesh, torus_cross.tri_frames,
-                                  torus_cross.field)
+    sings, _ = extract_singularities(torus_cross.mesh, torus_cross.tri_frames,
+                                     torus_cross.field)
     report = poincare_hopf_check(torus_cross.mesh, sings, torus_cross.field)
     assert report.passed
     assert report.chi == 0
 
 
 def test_square_corner_accounting(square_cross):
-    sings = extract_singularities(square_cross.mesh, square_cross.tri_frames,
-                                  square_cross.field)
+    sings, _ = extract_singularities(
+        square_cross.mesh, square_cross.tri_frames, square_cross.field)
     assert sings == []
     report = poincare_hopf_check(square_cross.mesh, sings, square_cross.field)
     assert report.corner_sum == 1
@@ -198,8 +201,8 @@ def test_square_corner_accounting(square_cross):
 
 
 def test_lshape_corner_accounting(lshape_cross):
-    sings = extract_singularities(lshape_cross.mesh, lshape_cross.tri_frames,
-                                  lshape_cross.field)
+    sings, _ = extract_singularities(
+        lshape_cross.mesh, lshape_cross.tri_frames, lshape_cross.field)
     report = poincare_hopf_check(lshape_cross.mesh, sings, lshape_cross.field)
     assert report.passed
     assert report.interior_sum + report.corner_sum == 1
@@ -209,8 +212,8 @@ def test_lshape_corner_accounting(lshape_cross):
 
 
 def test_disk_extraction(disk_cross):
-    sings = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
-                                  disk_cross.field)
+    sings, _ = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
+                                     disk_cross.field)
     assert len(sings) == 4
     assert all(s.index == Fraction(1, 4) for s in sings)
     report = poincare_hopf_check(disk_cross.mesh, sings, disk_cross.field)
@@ -233,7 +236,7 @@ def test_zero_norm_edge_merges_cluster(disk_cross):
     total = int(w_tri[pair].sum())
     assert total != 0
 
-    merged = [s for s in extract_singularities(mesh, tf, field)
+    merged = [s for s in extract_singularities(mesh, tf, field)[0]
               if len(s.cluster) > 1]
     assert len(merged) == 1
     s = merged[0]
@@ -262,7 +265,7 @@ def test_zero_edges_keep_the_index_sum(disk_cross):
         values[edge] = 0.0
         field = FieldSolution(order=4, values=values,
                               epsilon=disk_cross.field.epsilon)
-        sings = extract_singularities(mesh, tf, field)
+        sings, _ = extract_singularities(mesh, tf, field)
         assert sum(s.index for s in sings) == 1, edge
         assert poincare_hopf_check(mesh, sings, field).passed, edge
         pair = set(mesh.edge_facets[edge].tolist())
@@ -272,9 +275,122 @@ def test_zero_edges_keep_the_index_sum(disk_cross):
     assert beside_boundary >= 16
 
 
+def reference_extraction(mesh, tf, field):
+    """The singularities of ``extract_singularities`` as the whole-mesh code
+    found them: the centroids of every triangle, and each vertex's first
+    triangle by ``np.minimum.at``."""
+    phi = analysis._common_frame_angles(mesh, tf, field)
+    w_tri, touches_zero = analysis._triangle_windings(mesh, phi, field)
+    turns = analysis._vertex_turns(mesh, phi, field.order)
+    norms = field.norms()
+    centroids = mesh.triangle_centroids()
+    areas = mesh.triangle_areas()
+
+    near_zero = (norms < analysis.NORM_FLOOR) & ~mesh.boundary_edge
+    facets = mesh.edge_facets[near_zero]
+    ends = mesh.edges[near_zero]
+    counted = ~mesh.boundary_vertex
+    counted[ends] = True
+    ends = ends + mesh.n_triangles
+    count, labels = _components(
+        np.concatenate([facets, ends, np.stack([facets[:, 0], ends[:, 0]], 1)]),
+        mesh.n_triangles + mesh.n_vertices)
+    charge = np.zeros(count)
+    np.add.at(charge, labels,
+              np.concatenate([w_tri, np.where(counted, turns, 0.0)]))
+    charge = np.rint(charge).astype(np.int64)
+    by_label = np.argsort(labels, kind="stable")
+    size = np.bincount(labels)
+    start = np.cumsum(size) - size
+
+    first_tri = np.full(mesh.n_vertices, mesh.n_triangles)
+    np.minimum.at(first_tri, mesh.triangles,
+                  np.arange(mesh.n_triangles)[:, None])
+    out = []
+    for c in np.flatnonzero(charge):
+        members = by_label[start[c]:start[c] + size[c]]
+        cluster = members[members < mesh.n_triangles].tolist()
+        vertex = None
+        if cluster:
+            t, near = cluster[0], mesh.facet_edges[cluster]
+            flagged = bool(touches_zero[cluster].any())
+            weights = areas[cluster]
+            position = ((centroids[cluster] * weights[:, None]).sum(axis=0)
+                        / weights.sum()) if flagged else centroids[t]
+        else:
+            vertex = int(members[0]) - mesh.n_triangles
+            t = int(first_tri[vertex])
+            near = np.flatnonzero((mesh.edges == vertex).any(axis=1))
+            flagged = bool((norms[near] < analysis.NORM_FLOOR).any())
+            position = mesh.vertices[vertex]
+            cluster = [t]
+        out.append(analysis.Singularity(
+            triangle=t, position=position,
+            index=Fraction(int(charge[c]), field.order),
+            local_min_norm=float(norms[near].min()), vertex=vertex,
+            cluster=tuple(cluster), flagged=flagged))
+    out.sort(key=lambda s: (s.index, s.triangle))
+    return out
+
+
+def zeroed(field, edges):
+    values = field.values.copy()
+    values[edges] = 0.0
+    return FieldSolution(order=field.order, values=values,
+                         epsilon=field.epsilon)
+
+
+def extraction_cases(request):
+    """Converged sphere fields, a disk field with zeroed interior edges
+    (flagged clusters, some beside the boundary, some of several edges) and
+    a sphere field with vertex-seated charges."""
+    for name in ("sphere_cross", "sphere_asterisk"):
+        case = request.getfixturevalue(name)
+        yield name, case.mesh, case.tri_frames, case.field
+    disk = request.getfixturevalue("disk_cross")
+    mesh = disk.mesh
+    interior = np.flatnonzero(~mesh.boundary_edge)
+    rng = np.random.default_rng(1)
+    picks = [[1267]] + [[e] for e in rng.choice(interior, 40, replace=False)]
+    picks += [rng.choice(interior, 60, replace=False)]
+    # a chain of edges around one vertex: the whole fan merges
+    picks += [np.flatnonzero((mesh.edges == mesh.triangles[730, 0]).any(1))]
+    for edges in picks:
+        yield (f"disk-{edges[0]}", mesh, disk.tri_frames,
+               zeroed(disk.field, edges))
+    sphere = request.getfixturevalue("sphere_cross")
+    yield ("synthetic", sphere.mesh, sphere.tri_frames, synthetic_sphere_field(
+        sphere.mesh, sphere.edge_frames, 4, anticube_points()))
+
+
+def test_extraction_matches_the_whole_mesh_reference(request):
+    """Every field of every singularity equals the whole-mesh code's, the
+    position bit for bit, and the returned windings are the bytes of
+    ``triangle_windings``."""
+    kinds = set()
+    for name, mesh, tf, field in extraction_cases(request):
+        sings, windings = extract_singularities(mesh, tf, field)
+        expected = reference_extraction(mesh, tf, field)
+        assert len(sings) == len(expected), name
+        for got, want in zip(sings, expected):
+            for f in dataclasses.fields(analysis.Singularity):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "position":
+                    assert a.dtype == b.dtype and a.shape == b.shape, name
+                    assert a.tobytes() == b.tobytes(), name
+                else:
+                    assert type(a) is type(b) and a == b, (name, f.name)
+            kinds.add("vertex" if got.vertex is not None
+                      else "cluster" if got.flagged else "triangle")
+        reference, _ = triangle_windings(mesh, tf, field)
+        assert windings.dtype == reference.dtype
+        assert windings.tobytes() == reference.tobytes(), name
+    assert kinds == {"vertex", "cluster", "triangle"}
+
+
 def test_singularity_sorting_and_json(disk_cross):
-    sings = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
-                                  disk_cross.field)
+    sings, _ = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
+                                     disk_cross.field)
     keys = [(s.index, s.triangle) for s in sings]
     assert keys == sorted(keys)
     payload = singularities_to_json(sings)
@@ -327,5 +443,5 @@ def test_random_hull_windings_sum_to_order_times_chi(n, order, seed):
     field = FieldSolution(order=order, epsilon=0.1, values=np.stack(
         [radius * np.cos(angle), radius * np.sin(angle)], axis=1))
     assert winding_total(mesh, tf, field) == 2 * order
-    sings = extract_singularities(mesh, tf, field)
+    sings, _ = extract_singularities(mesh, tf, field)
     assert poincare_hopf_check(mesh, sings, field).passed

@@ -36,6 +36,8 @@ def test_every_exported_name_resolves():
     ("crossfield.solver", "laplacian_init"),
     ("crossfield.analysis", "triangle_winding"),
     ("crossfield.frames", "rotation_matrix"),
+    ("crossfield", "angle_defects"),
+    ("crossfield.analysis", "angle_defects"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)

@@ -309,26 +309,35 @@ def test_solve_sphere_cross(capsys, sphere_off):
     assert payload["options"]["pinned_edge"] is not None
 
 
+def _count_calls(monkeypatch, name, *modules):
+    """The argument tuples of every call of ``name``, wherever ``modules``
+    look it up; the function counted is the first module's."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
 def test_run_solve_draws_the_pinned_edge_once(monkeypatch, sphere_off,
                                               square_off, tmp_path):
     """The report's pinned edge is the one the solve held at (1, 0): one
     ``constraint_dofs`` call per solve, wherever it is looked up."""
     from crossfield import solver
 
-    calls = []
     solves = []
-    constraint_dofs, newton_solve = solver.constraint_dofs, cli.newton_solve
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return constraint_dofs(*args, **kwargs)
+    newton_solve = cli.newton_solve
 
     def recorded(*args, **kwargs):
         solves.append(newton_solve(*args, **kwargs))
         return solves[-1]
 
-    for module in (cli, solver):
-        monkeypatch.setattr(module, "constraint_dofs", counted, raising=False)
+    calls = _count_calls(monkeypatch, "constraint_dofs", solver, cli)
     monkeypatch.setattr(cli, "newton_solve", recorded)
     for seed in (0, 3):
         calls.clear()
@@ -344,6 +353,24 @@ def test_run_solve_draws_the_pinned_edge_once(monkeypatch, sphere_off,
     assert code == 0 and len(calls) == 1
     assert report["options"]["pinned_edge"] is None
     assert solves[-1][1].pinned_edge is None
+
+
+def test_run_solve_makes_one_angle_pass(monkeypatch, sphere_off,
+                                        square_off, tmp_path):
+    """Extraction and the VTK cells share one pass over the edge angles:
+    one ``_common_frame_angles`` call and no ``triangle_windings`` call per
+    solve, on a pinned sphere and on an aligned square."""
+    from crossfield import analysis
+
+    angles = _count_calls(monkeypatch, "_common_frame_angles", analysis)
+    windings = _count_calls(monkeypatch, "triangle_windings", analysis,
+                            crossfield, cli)
+    for path, epsilon in ((sphere_off, 0.15), (square_off, 0.2)):
+        angles.clear()
+        code, _ = cli.run_solve(str(path), epsilon=epsilon,
+                                out_field=str(tmp_path / "f.vtk"))
+        assert code == 0
+        assert len(angles) == 1 and windings == []
 
 
 def test_solve_non_convergence_exit(capsys, sphere_off):
@@ -386,6 +413,20 @@ def test_non_finite_tol_exits_2(capsys, square_off, tmp_path, tol):
     assert code == 2
     assert out == ""
     assert "tol" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("mesh", ["sphere_off", "square_off"])
+def test_negative_seed_exits_2(capsys, request, tmp_path, mesh):
+    """A negative seed is refused by name, on a closed surface, where it
+    would draw the pinned edge, and on a bounded one, where it draws none."""
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", "--mesh",
+                             str(request.getfixturevalue(mesh)), "--seed",
+                             "-1", "--out-report", str(report))
+    assert code == 2
+    assert out == ""
+    assert "rng_seed must be non-negative" in err
     assert not report.exists()
 
 

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 from crossfield import (InvalidMeshError, MeshLoadError, QuadMesh,
                         SurfaceMesh, boundary_loops, load_mesh,
                         mean_edge_length, topology_report)
-from crossfield import analysis as analysis_module
 from crossfield import mesh as mesh_module
 from crossfield.mesh import _build_edge_tables
 
@@ -600,7 +599,6 @@ def test_angle_defects_are_stored_once(mesh):
                   np.arccos(np.clip(cosine, -1.0, 1.0)))
     defects = mesh.angle_defect
     assert defects.tobytes() == (2.0 * np.pi - total).tobytes()
-    assert analysis_module.angle_defects(mesh) is defects
     assert not defects.flags.writeable
 
 
