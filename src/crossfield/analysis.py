@@ -238,7 +238,7 @@ def extract_singularities(mesh, tri_frames, field):
             t, near = cluster[0], mesh.facet_edges[cluster]
             flagged = bool(touches_zero[cluster].any())
             centroids = mesh.vertices[mesh.triangles[cluster]].mean(axis=1)
-            weights = mesh.triangle_areas()[cluster]
+            weights = mesh.triangle_areas[cluster]
             position = ((centroids * weights[:, None]).sum(axis=0)
                         / weights.sum()) if flagged else centroids[0]
         else:  # the loop of one interior vertex

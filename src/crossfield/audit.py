@@ -24,7 +24,6 @@ class IrregularVertex:
     vertex: int
     valence: int
     boundary: bool
-    mismatch: int
     index: Fraction
 
 
@@ -84,7 +83,6 @@ def audit(mesh):
             vertex=int(v),
             valence=int(valence[v]),
             boundary=bool(mesh.boundary_vertex[v]),
-            mismatch=int(mismatch[v]),
             index=Fraction(int(mismatch[v]), denom),
         ))
 

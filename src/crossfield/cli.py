@@ -18,7 +18,8 @@ import numpy as np
 from .analysis import (extract_singularities, poincare_hopf_check,
                        singularities_to_json)
 from .audit import audit
-from .fekete import DEFAULT_SQUARE_HEIGHT, fekete_optimize, tilt_sweep
+from .fekete import (DEFAULT_SQUARE_HEIGHT, fekete_optimize,
+                     log_interaction_energy, tilt_sweep)
 from .frames import build_edge_frames, triangle_frames
 from .mesh import (InvalidMeshError, MeshLoadError, SurfaceMesh, load_mesh,
                    mean_edge_length, topology_report)
@@ -83,7 +84,6 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
     energy = gl_energy(mesh, edge_frames, field)
     timings["analysis"] = time.perf_counter() - t0
 
-    pinned = log.pinned_edge
     report = {
         "input": str(mesh_path),
         "topology": topo.to_dict(),
@@ -95,7 +95,7 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
             "max_iter": max_iter,
             "seed": seed,
             "warmup_rounds": WARMUP_ROUNDS,
-            "pinned_edge": None if pinned is None else [pinned[0], list(pinned[1])],
+            "pinned_edge": log.pinned_edge,
         },
         "mean_edge_length": mean_edge_length(mesh),
         "convergence": {
@@ -158,7 +158,6 @@ def _cmd_fekete(args):
         print("error: --count must be at least 2", file=sys.stderr)
         return 2
     config = fekete_optimize(args.count, seed=args.seed)
-    from .fekete import log_interaction_energy
     payload = {
         "count": args.count,
         "seed": args.seed,

@@ -12,7 +12,7 @@ serve as an independent placement oracle for computed fields.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,19 +41,19 @@ class PointConfiguration:
     """Embedded critical-point positions with their indices.
 
     ``points`` is ``(k, 3)`` (or ``(k, 2)`` for planar configurations);
-    when ``spherical`` the points must sit on the unit sphere to 1e-9.
-    Coincident points (closer than 1e-9) are rejected.
+    ``spherical`` is true for ``(k, 3)`` points, which must sit on the unit
+    sphere to 1e-9.  Coincident points (closer than 1e-9) are rejected.
     """
 
     points: np.ndarray
     indices: tuple = ()
-    spherical: bool = True
+    spherical: bool = field(init=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        object.__setattr__(self, "spherical", pts.shape[1] != 2)
         if pts.shape[1] == 2:
             pts = np.column_stack([pts, np.zeros(len(pts))])
-            object.__setattr__(self, "spherical", False)
         if pts.shape[1] != 3:
             raise ValueError("points must be (k, 2) or (k, 3)")
         idx = self.indices or tuple([1] * len(pts))

@@ -38,18 +38,16 @@ class EdgeFrames:
 
 @dataclass(frozen=True)
 class TriangleFrames:
-    """In-plane frame offsets and transport phases per triangle.
+    """Transport phases per triangle corner.
 
-    ``alpha[t, i]`` is the signed angle, about the triangle normal, that
+    With ``alpha[t, i]`` the signed angle, about the triangle normal, that
     carries edge ``i``'s frame direction onto the triangle's reference
-    direction (edge 0's), with ``alpha[t, 0] == 0``.  ``cos`` and ``sin``
-    hold ``cos(order * alpha)`` and ``sin(order * alpha)``, the phases that
-    move a per-edge value ``(f1, f2)`` into the shared frame; only the
-    methods below apply them.
+    direction (edge 0's, so ``alpha[t, 0] == 0``), ``cos`` and ``sin`` hold
+    ``cos(order * alpha)`` and ``sin(order * alpha)``, the phases that move
+    a per-edge value ``(f1, f2)`` into the shared frame; only the methods
+    below apply them.
     """
 
-    order: int
-    alpha: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
 
@@ -123,7 +121,7 @@ def build_edge_frames(mesh):
         If two adjacent triangles have (nearly) opposite normals, so their
         average vanishes (fold-over); the message names the edge.
     """
-    normals = mesh.triangle_normals().T
+    normals = mesh.triangle_normals.T
     first, second = mesh.edge_facets.T  # second is -1 on boundary edges
     n_sum = np.take(normals, first, axis=1)
     np.add(n_sum, np.take(normals, second, axis=1), out=n_sum, where=second >= 0)
@@ -148,7 +146,7 @@ def build_edge_frames(mesh):
 
 
 def triangle_frames(mesh, edge_frames, order=4):
-    """Compute the per-triangle frame offsets and transport phases.
+    """Compute the per-triangle transport phases.
 
     Each edge frame direction is projected into the triangle plane before
     measuring its in-plane angle to the first edge's direction.
@@ -164,7 +162,7 @@ def triangle_frames(mesh, edge_frames, order=4):
     if order < 1:
         raise ValueError(f"symmetry order must be at least 1, got {order}")
     # component, local edge, triangle: every product runs along triangles
-    n_tri = mesh.triangle_normals().T[:, None]         # (3, 1, m)
+    n_tri = mesh.triangle_normals.T[:, None]           # (3, 1, m)
     e = np.take(edge_frames.e_hat.T, mesh.facet_edges.T, axis=1)  # (3, 3, m)
     proj = e - _dot(e, n_tri) * n_tri
     nrm = _norm(proj)
@@ -180,6 +178,6 @@ def triangle_frames(mesh, edge_frames, order=4):
     alpha = np.ascontiguousarray(np.arctan2(sin_a, cos_a).T)
     alpha[:, 0] = 0.0
     cos, sin = np.cos(order * alpha), np.sin(order * alpha)
-    for arr in (alpha, cos, sin):
+    for arr in (cos, sin):
         arr.setflags(write=False)
-    return TriangleFrames(order=order, alpha=alpha, cos=cos, sin=sin)
+    return TriangleFrames(cos=cos, sin=sin)

@@ -192,12 +192,9 @@ class _FacetMesh:
     def n_facets(self):
         return len(self.facets)
 
-    def edge_vectors(self):
-        """Vector along each edge, from the lower- to the higher-index vertex."""
-        return self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-
     def edge_lengths(self):
-        return _norm(self.edge_vectors().T)
+        return _norm((self.vertices[self.edges[:, 1]]
+                      - self.vertices[self.edges[:, 0]]).T)
 
     def is_closed(self):
         return not self.boundary_edge.any()
@@ -231,19 +228,22 @@ class SurfaceMesh(_FacetMesh):
         two_area = _norm(cross)
         sides = np.take(p, [1, 2, 0], axis=1) - p  # side i: corner i to i+1
         lengths = _norm(sides)
-        self._areas = 0.5 * two_area
-        degenerate = self._areas <= 1e-12 * lengths.max(axis=0)**2
+        self.triangle_areas = 0.5 * two_area
+        degenerate = self.triangle_areas <= 1e-12 * lengths.max(axis=0)**2
         if degenerate.any():
             bad = np.flatnonzero(degenerate)[:10]
             raise InvalidMeshError(f"degenerate (zero-area) triangles: {bad.tolist()}")
-        self._normals = (cross / two_area).T
+        # unit outward normals, (m, 3), from the counterclockwise vertex
+        # order; their transpose holds one row per component
+        self.triangle_normals = (cross / two_area).T
         # corner i lies between side i and side i-1 reversed
         cosine = -_dot(sides, np.take(sides, [2, 0, 1], axis=1)) / (
             lengths * lengths[[2, 0, 1]])
         corners = np.arccos(np.clip(cosine, -1.0, 1.0))
         self.angle_defect = 2.0 * np.pi - np.bincount(
             self.facets.T.ravel(), corners.ravel(), minlength=self.n_vertices)
-        for arr in (self._normals, self._areas, self.angle_defect):
+        for arr in (self.triangle_normals, self.triangle_areas,
+                    self.angle_defect):
             arr.setflags(write=False)
 
     @property
@@ -253,14 +253,6 @@ class SurfaceMesh(_FacetMesh):
     @property
     def n_triangles(self):
         return len(self.facets)
-
-    def triangle_normals(self):
-        """Unit outward normals, (m, 3), from the counterclockwise vertex
-        order; their transpose holds one row per component."""
-        return self._normals
-
-    def triangle_areas(self):
-        return self._areas
 
     def triangle_centroids(self):
         return self.vertices[self.facets].mean(axis=1)

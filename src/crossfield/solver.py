@@ -161,12 +161,12 @@ class NewtonOptions:
 @dataclass(frozen=True)
 class ConvergenceLog:
     """Gradient norms of a nonlinear solve: at the start, then per step;
-    and the pinned ``(edge, (1.0, 0.0))`` that the solve held, as
-    ``constraint_dofs`` drew it (None on a mesh with boundary)."""
+    and the edge that the solve pinned at (1, 0), as ``constraint_dofs``
+    drew it (None on a mesh with boundary)."""
 
     residuals: tuple[float, ...]
     converged: bool
-    pinned_edge: tuple[int, tuple[float, float]] | None = None
+    pinned_edge: int | None = None
 
     @property
     def iterations(self):
@@ -199,19 +199,17 @@ class Discretization:
 
     def __init__(self, mesh: SurfaceMesh, edge_frames: EdgeFrames, order: int = 4):
         self.mesh = mesh
-        self.edge_frames = edge_frames
-        self.order = order
         self.tri_frames = triangle_frames(mesh, edge_frames, order)
 
         # each triangle's 2-d chart: e1 along its x axis, e2 at (q2x, q2y)
         p = np.take(mesh.vertices.T, mesh.triangles.T, axis=1)
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
-        self.areas = mesh.triangle_areas()
+        self.areas = mesh.triangle_areas
         q1x = _norm(e1)
         u = e1 / q1x
         q2x = _dot(e2, u)
-        q2y = _dot(e2, _cross(mesh.triangle_normals().T, u))
+        q2y = _dot(e2, _cross(mesh.triangle_normals.T, u))
         det = q1x * q2y
         # the gradients through the inverse transposed Jacobian [[a, 0], [b,
         # c]], and their products, each summed from 0.0 as einsum sums them
@@ -356,8 +354,8 @@ class Discretization:
 
 
 def constraint_dofs(mesh, options=None):
-    """Constrained-dof mask, values, and the pinned ``(edge, (1.0, 0.0))``
-    (None on a mesh with boundary).
+    """Constrained-dof mask, values, and the pinned edge (None on a mesh
+    with boundary).
 
     Every constrained edge holds ``(1, 0)`` in its own frame: the boundary
     edges, aligning the field with the boundary, or, on a surface without
@@ -370,9 +368,8 @@ def constraint_dofs(mesh, options=None):
     edges = np.flatnonzero(mesh.boundary_edge)
     pinned = None
     if len(edges) == 0:
-        edge = int(np.random.default_rng(options.rng_seed).integers(n_e))
-        pinned = (edge, (1.0, 0.0))
-        edges = np.array([edge])
+        pinned = int(np.random.default_rng(options.rng_seed).integers(n_e))
+        edges = np.array([pinned])
     mask = np.zeros(2 * n_e, dtype=bool)
     mask[edges] = True
     mask[edges + n_e] = True
@@ -520,7 +517,10 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     infinity norm exceeds ``STEP_CAP`` is scaled down to it.  An energy
     increase between steps is logged as a warning but does not abort;
     exceeding ``max_iter`` returns with ``converged=False``; an exactly
-    singular step system raises ``SingularFactorError``.
+    singular step system raises ``SingularFactorError``.  An odd ``order``
+    on a mesh with boundary raises ``ValueError``: each boundary edge is
+    held along its direction from its lower to its higher vertex id, and
+    only at even orders is the reverse direction the same field.
 
     Returns
     -------
@@ -534,6 +534,10 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
             f"solver requires a single connected component, found {count}")
     epsilon = options.resolve_epsilon(mesh)
     disc = Discretization(mesh, edge_frames, order)
+    # after the build, which rejects an order below 1 with its own message
+    if order % 2 and not mesh.is_closed():
+        raise ValueError(f"symmetry order {order} is odd, and a mesh with "
+                         "boundary needs an even order")
     mask, cvalues, pinned = constraint_dofs(mesh, options)
     # every system of the solve has the stiffness's pattern
     blocks = _free_blocks(disc.stiffness, mask)

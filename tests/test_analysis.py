@@ -245,7 +245,7 @@ def test_zero_norm_edge_merges_cluster(disk_cross):
     assert s.triangle == pair[0]
     assert s.index == Fraction(total, 4)
     assert s.local_min_norm == 0.0
-    areas = mesh.triangle_areas()[pair]
+    areas = mesh.triangle_areas[pair]
     centroids = mesh.triangle_centroids()[pair]
     expected = (centroids * areas[:, None]).sum(axis=0) / areas.sum()
     np.testing.assert_allclose(s.position, expected, rtol=0, atol=1e-15)
@@ -284,7 +284,7 @@ def reference_extraction(mesh, tf, field):
     turns = analysis._vertex_turns(mesh, phi, field.order)
     norms = field.norms()
     centroids = mesh.triangle_centroids()
-    areas = mesh.triangle_areas()
+    areas = mesh.triangle_areas
 
     near_zero = (norms < analysis.NORM_FLOOR) & ~mesh.boundary_edge
     facets = mesh.edge_facets[near_zero]

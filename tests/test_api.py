@@ -2,10 +2,16 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import crossfield
+from crossfield import cli
+from crossfield.mesh import _FacetMesh
+
+import meshes
 
 
 def test_package_exports_are_the_submodule_exports():
@@ -53,3 +59,35 @@ def test_solve_settings_are_the_ones_callers_set():
     for function in (crossfield.gl_energy, crossfield.gl_residual):
         assert list(inspect.signature(function).parameters) == [
             "mesh", "edge_frames", "field"]
+
+
+def test_solve_state_is_the_state_callers_read(tmp_path):
+    """Frames hold their phases, the mesh its arrays and the log its pinned
+    edge id; no object keeps a copy of what another one holds."""
+    assert [f.name for f in dataclasses.fields(crossfield.TriangleFrames)] == [
+        "cos", "sin"]
+    verts, tris = meshes.golden_spiral_sphere(60)
+    mesh = crossfield.SurfaceMesh(verts, tris)
+    disc = crossfield.Discretization(mesh, crossfield.build_edge_frames(mesh))
+    for obj, attr in ((disc, "edge_frames"), (disc, "order"),
+                      (_FacetMesh, "edge_vectors"),
+                      (crossfield.IrregularVertex, "mismatch")):
+        assert not hasattr(obj, attr), attr
+    with pytest.raises(TypeError):
+        crossfield.PointConfiguration(points=np.eye(3), spherical=False)
+    for arr in (mesh.triangle_normals, mesh.triangle_areas):
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+    path = tmp_path / "sphere.off"
+    meshes.write_off(path, verts, tris)
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(crossfield.newton_solve(*args, **kwargs))
+        return solves[-1]
+
+    with mock.patch.object(cli, "newton_solve", recorded):
+        _, report = cli.run_solve(str(path), seed=2)
+    (_, log), = solves
+    pinned = report["options"]["pinned_edge"]
+    assert type(pinned) is int and type(log.pinned_edge) is int
+    assert pinned == log.pinned_edge

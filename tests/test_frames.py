@@ -19,7 +19,7 @@ def test_planar_mesh_normals_and_orthonormality():
 def test_boundary_edge_uses_single_normal():
     mesh = meshes.surface(meshes.disk_hex, 3)
     frames = build_edge_frames(mesh)
-    normals = mesh.triangle_normals()
+    normals = mesh.triangle_normals
     for e in np.flatnonzero(mesh.boundary_edge):
         t = mesh.edge_facets[e, 0]
         assert np.allclose(frames.n_hat[e], normals[t], atol=1e-12)
@@ -28,7 +28,7 @@ def test_boundary_edge_uses_single_normal():
 def test_octahedron_edge_normal_is_average():
     mesh = meshes.surface(meshes.octahedron)
     frames = build_edge_frames(mesh)
-    normals = mesh.triangle_normals()
+    normals = mesh.triangle_normals
     e = 0
     ta, tb = mesh.edge_facets[e]
     avg = normals[ta] + normals[tb]
@@ -63,8 +63,7 @@ def test_fold_over_rejected():
 def phases(alpha, order):
     """Triangle frames of one or more triangles with the given offsets."""
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    return TriangleFrames(order, alpha, np.cos(order * alpha),
-                          np.sin(order * alpha))
+    return TriangleFrames(np.cos(order * alpha), np.sin(order * alpha))
 
 
 def test_rotation_matrix_quarter_turn_invisible():
@@ -103,7 +102,6 @@ def test_triangle_frames_reference_is_zero():
     mesh = meshes.surface(meshes.golden_spiral_sphere, 200)
     frames = build_edge_frames(mesh)
     tf = triangle_frames(mesh, frames, 4)
-    assert np.all(tf.alpha[:, 0] == 0.0)
     assert np.all(tf.cos[:, 0] == 1.0)
     assert np.all(tf.sin[:, 0] == 0.0)
     a, b = np.random.default_rng(3).normal(size=(2,) + tf.cos.shape)

@@ -242,10 +242,10 @@ def test_triangle_geometry_is_stored_once(mesh):
     p = mesh.vertices[mesh.triangles]
     cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     two_area = np.linalg.norm(cross, axis=1)
-    normals, areas = mesh.triangle_normals(), mesh.triangle_areas()
+    normals, areas = mesh.triangle_normals, mesh.triangle_areas
     assert np.array_equal(normals, cross / two_area[:, None])
     assert np.array_equal(areas, 0.5 * two_area)
-    assert normals is mesh.triangle_normals() and areas is mesh.triangle_areas()
+    assert normals is mesh.triangle_normals and areas is mesh.triangle_areas
     for arr in (normals, areas):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -613,5 +613,5 @@ def test_random_planar_delaunay_covers_the_square(n):
         for size in (1.0, 2.0):
             mesh = meshes.surface(meshes.random_planar_delaunay, n, seed, size)
             assert len(boundary_loops(mesh)) == 1, (n, seed, size)
-            assert mesh.triangle_areas().sum() == pytest.approx(size**2,
+            assert mesh.triangle_areas.sum() == pytest.approx(size**2,
                                                                 rel=1e-12)

@@ -95,7 +95,7 @@ def test_element_stiffness_entry_on_reference_triangle():
 def test_discretization_reads_the_mesh_areas():
     mesh = meshes.surface(meshes.golden_spiral_sphere, 60)
     disc = Discretization(mesh, build_edge_frames(mesh), 4)
-    assert disc.areas is mesh.triangle_areas()
+    assert disc.areas is mesh.triangle_areas
 
 
 def test_element_zero_field_reduces_to_stiffness():
@@ -239,8 +239,7 @@ def test_blocks_to_edges_equals_term_by_term_products():
     alpha = rng.uniform(-np.pi, np.pi, size=(200, 3))
     alpha[:, 0] = 0.0
     for order in (4, 6):
-        tf = TriangleFrames(order, alpha, np.cos(order * alpha),
-                            np.sin(order * alpha))
+        tf = TriangleFrames(np.cos(order * alpha), np.sin(order * alpha))
         p, q, v = rng.normal(size=(3, 200, 3, 3))
         for blocks in ((p, q, v), (p, 0.0, v)):
             assert (tf.blocks_to_edges(*blocks).tobytes()
@@ -391,10 +390,9 @@ def test_closed_surface_is_pinned_and_disconnected_mesh_raises():
     mesh = meshes.surface(meshes.octahedron)
     frames = build_edge_frames(mesh)
     options = NewtonOptions(epsilon=0.5)
-    mask, values, pinned = constraint_dofs(mesh, options)
-    edge, held = pinned
+    mask, values, edge = constraint_dofs(mesh, options)
     assert np.flatnonzero(mask).tolist() == [edge, edge + mesh.n_edges]
-    assert values[mask].tolist() == list(held) == [1.0, 0.0]
+    assert values[mask].tolist() == [1.0, 0.0]
     with pytest.raises(InvalidMeshError, match="component"):
         disconnected = meshes.surface(meshes.octahedron)
         verts = np.vstack([disconnected.vertices,
