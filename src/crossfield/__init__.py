@@ -9,77 +9,19 @@ provides logarithmic-energy point configurations on the sphere as an
 independent placement oracle.
 """
 
-from .analysis import (PoincareHopfReport, Singularity, edge_angles,
-                       extract_singularities, poincare_hopf_check,
-                       singularities_to_json, triangle_windings,
-                       vertex_windings, winding_total)
-from .audit import IndexAudit, IrregularVertex, audit, regular_mesh_feasible
-from .fekete import (DEFAULT_SQUARE_HEIGHT, PointConfiguration,
-                     align_point_sets, fekete_optimize,
-                     log_interaction_energy, tilt_sweep,
-                     two_square_configuration)
-from .frames import (EdgeFrames, TriangleFrames, build_edge_frames,
-                     triangle_frames)
-from .mesh import (InvalidMeshError, MeshLoadError, QuadMesh, SurfaceMesh,
-                   TopologyReport, boundary_loops, load_mesh,
-                   mean_edge_length, topology_report)
-from .solver import (CR_GRADIENTS, TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS,
-                     ConvergenceLog, Discretization, EnergyBreakdown,
-                     FieldSolution, NewtonOptions, SingularFactorError,
-                     constraint_dofs, cr_shapes, gl_energy, gl_residual,
-                     newton_solve)
-from .vtk import write_field_vtk
+from . import analysis, audit, fekete, frames, mesh, solver, vtk
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CR_GRADIENTS",
-    "ConvergenceLog",
-    "DEFAULT_SQUARE_HEIGHT",
-    "Discretization",
-    "EdgeFrames",
-    "EnergyBreakdown",
-    "FieldSolution",
-    "IndexAudit",
-    "InvalidMeshError",
-    "IrregularVertex",
-    "MeshLoadError",
-    "NewtonOptions",
-    "PoincareHopfReport",
-    "PointConfiguration",
-    "QuadMesh",
-    "SingularFactorError",
-    "Singularity",
-    "SurfaceMesh",
-    "TRI_QUAD_POINTS",
-    "TRI_QUAD_WEIGHTS",
-    "TopologyReport",
-    "TriangleFrames",
-    "align_point_sets",
-    "audit",
-    "boundary_loops",
-    "build_edge_frames",
-    "constraint_dofs",
-    "cr_shapes",
-    "edge_angles",
-    "extract_singularities",
-    "fekete_optimize",
-    "gl_energy",
-    "gl_residual",
-    "load_mesh",
-    "log_interaction_energy",
-    "mean_edge_length",
-    "newton_solve",
-    "poincare_hopf_check",
-    "regular_mesh_feasible",
-    "singularities_to_json",
-    "tilt_sweep",
-    "topology_report",
-    "triangle_frames",
-    "triangle_windings",
-    "two_square_configuration",
-    "vertex_windings",
-    "winding_total",
-    "write_field_vtk",
-    "__version__",
-]
+# set before the star imports: ``from .audit import *`` rebinds ``audit`` to
+# the function of that name
+__all__ = [name for module in (analysis, audit, fekete, frames, mesh, solver, vtk)
+           for name in module.__all__] + ["__version__"]
+
+from .analysis import *  # noqa: E402,F403
+from .audit import *  # noqa: E402,F403
+from .fekete import *  # noqa: E402,F403
+from .frames import *  # noqa: E402,F403
+from .mesh import *  # noqa: E402,F403
+from .solver import *  # noqa: E402,F403
+from .vtk import *  # noqa: E402,F403

@@ -92,12 +92,13 @@ def edge_angles(field):
     """Recover the per-edge direction angle from the representation vector.
 
     Returns ``(theta, defined)`` where ``theta = atan2(f2, f1) / order`` in
-    ``(-pi/order, pi/order]``; edges whose components are both below 1e-12
-    are marked undefined (their angle entry is NaN).
+    ``(-pi/order, pi/order]``; edges whose norm is below ``NORM_FLOOR``, the
+    floor below which extraction reads no angle either, are marked
+    undefined (their angle entry is NaN).
     """
     f1 = field.values[:, 0]
     f2 = field.values[:, 1]
-    defined = ~((np.abs(f1) < 1e-12) & (np.abs(f2) < 1e-12))
+    defined = field.norms() >= NORM_FLOOR
     theta = np.full(len(f1), np.nan)
     theta[defined] = np.arctan2(f2[defined], f1[defined]) / field.order
     return theta, defined

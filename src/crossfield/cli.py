@@ -20,7 +20,7 @@ from .analysis import (extract_singularities, poincare_hopf_check,
 from .audit import audit
 from .fekete import (DEFAULT_SQUARE_HEIGHT, fekete_optimize,
                      log_interaction_energy, tilt_sweep)
-from .frames import build_edge_frames, triangle_frames
+from .frames import triangle_frames
 from .mesh import (InvalidMeshError, MeshLoadError, SurfaceMesh, load_mesh,
                    mean_edge_length, topology_report)
 from .solver import (WARMUP_ROUNDS, NewtonOptions, SingularFactorError,
@@ -73,15 +73,14 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
     options = NewtonOptions(tol=tol, max_iter=max_iter, epsilon=epsilon,
                             rng_seed=seed)
     t0 = time.perf_counter()
-    edge_frames = build_edge_frames(mesh)
-    field, log = newton_solve(mesh, edge_frames, order=symmetry, options=options)
+    field, log = newton_solve(mesh, order=symmetry, options=options)
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tri_frames = triangle_frames(mesh, edge_frames, symmetry)
+    tri_frames = triangle_frames(mesh, symmetry)
     singularities, windings = extract_singularities(mesh, tri_frames, field)
     ph = poincare_hopf_check(mesh, singularities, field)
-    energy = gl_energy(mesh, edge_frames, field)
+    energy = gl_energy(mesh, field)
     timings["analysis"] = time.perf_counter() - t0
 
     report = {
@@ -115,7 +114,7 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
     }
 
     if out_field:
-        write_field_vtk(out_field, mesh, edge_frames, field, windings)
+        write_field_vtk(out_field, mesh, field, windings)
     if out_report:
         with open(out_report, "w") as handle:
             handle.write(_dump(report) + "\n")

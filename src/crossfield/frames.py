@@ -145,8 +145,8 @@ def build_edge_frames(mesh):
     return EdgeFrames(*frames)
 
 
-def triangle_frames(mesh, edge_frames, order=4):
-    """Compute the per-triangle transport phases.
+def triangle_frames(mesh, order=4):
+    """Compute the per-triangle transport phases of ``mesh.edge_frames``.
 
     Each edge frame direction is projected into the triangle plane before
     measuring its in-plane angle to the first edge's direction.
@@ -163,7 +163,7 @@ def triangle_frames(mesh, edge_frames, order=4):
         raise ValueError(f"symmetry order must be at least 1, got {order}")
     # component, local edge, triangle: every product runs along triangles
     n_tri = mesh.triangle_normals.T[:, None]           # (3, 1, m)
-    e = np.take(edge_frames.e_hat.T, mesh.facet_edges.T, axis=1)  # (3, 3, m)
+    e = np.take(mesh.edge_frames.e_hat.T, mesh.facet_edges.T, axis=1)  # (3, 3, m)
     proj = e - _dot(e, n_tri) * n_tri
     nrm = _norm(proj)
     if np.any(nrm < 1e-8):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +212,8 @@ class SurfaceMesh(_FacetMesh):
     and consistently oriented; construction validates orientability,
     manifoldness, and rejects degenerate (zero-area) triangles.  All arrays
     are immutable after construction, so instances are safe to share across
-    threads.
+    threads; ``edge_frames`` is built on first use, and two threads that
+    first read it at once may each build the same frames.
 
     Parameters
     ----------
@@ -256,6 +258,15 @@ class SurfaceMesh(_FacetMesh):
 
     def triangle_centroids(self):
         return self.vertices[self.facets].mean(axis=1)
+
+    @cached_property
+    def edge_frames(self):
+        """The tangent frame of every edge (``frames.build_edge_frames``),
+        built on first use."""
+        # looked up at call time: frames imports this module, and wrappers
+        # that rebind the module attribute see the build
+        from .frames import build_edge_frames
+        return build_edge_frames(self)
 
 
 class QuadMesh(_FacetMesh):

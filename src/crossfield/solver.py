@@ -41,7 +41,7 @@ from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import spsolve  # unused here; perfbench/tracing.py wraps it
 
-from .frames import EdgeFrames, triangle_frames
+from .frames import triangle_frames
 from .mesh import (InvalidMeshError, SurfaceMesh, _cross, _dot, _norm,
                    mean_edge_length)
 
@@ -197,9 +197,9 @@ class Discretization:
     ``stiffness``.
     """
 
-    def __init__(self, mesh: SurfaceMesh, edge_frames: EdgeFrames, order: int = 4):
+    def __init__(self, mesh: SurfaceMesh, order: int = 4):
         self.mesh = mesh
-        self.tri_frames = triangle_frames(mesh, edge_frames, order)
+        self.tri_frames = triangle_frames(mesh, order)
 
         # each triangle's 2-d chart: e1 along its x axis, e2 at (q2x, q2y)
         p = np.take(mesh.vertices.T, mesh.triangles.T, axis=1)
@@ -506,7 +506,7 @@ def _warm_start(disc, mask, cvalues, blocks, epsilon, options):
     return x, residual, lu.perm_c.copy()
 
 
-def newton_solve(mesh, edge_frames, order=4, options=None):
+def newton_solve(mesh, order=4, options=None):
     """Drive Newton steps to a stationary point of the discrete energy.
 
     The start is the smoothing-only solution renormalised to unit edge
@@ -533,7 +533,7 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
         raise InvalidMeshError(
             f"solver requires a single connected component, found {count}")
     epsilon = options.resolve_epsilon(mesh)
-    disc = Discretization(mesh, edge_frames, order)
+    disc = Discretization(mesh, order)
     # after the build, which rejects an order below 1 with its own message
     if order % 2 and not mesh.is_closed():
         raise ValueError(f"symmetry order {order} is odd, and a mesh with "
@@ -577,13 +577,13 @@ def newton_solve(mesh, edge_frames, order=4, options=None):
     return field_solution, ConvergenceLog(tuple(residuals), converged, pinned)
 
 
-def gl_energy(mesh, edge_frames, field):
+def gl_energy(mesh, field):
     """Smoothing term, penalty term, and their sum at the field's epsilon."""
-    disc = Discretization(mesh, edge_frames, field.order)
+    disc = Discretization(mesh, field.order)
     return disc.energy(disc.vector_from_values(field.values), field.epsilon)
 
 
-def gl_residual(mesh, edge_frames, field):
+def gl_residual(mesh, field):
     """Exact energy gradient at the field's epsilon (``[all f1, all f2]``)."""
-    disc = Discretization(mesh, edge_frames, field.order)
+    disc = Discretization(mesh, field.order)
     return disc.residual(disc.vector_from_values(field.values), field.epsilon)

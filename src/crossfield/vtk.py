@@ -21,13 +21,14 @@ def _block(row, a):
     return "\n".join([row] * len(a)) % tuple(a.ravel().tolist())
 
 
-def write_field_vtk(path, mesh, edge_frames, field, windings):
+def write_field_vtk(path, mesh, field, windings):
     """Write the field to ``path`` as a legacy ASCII unstructured grid."""
     theta, defined = edge_angles(field)
     theta = np.where(defined, theta, 0.0)
     norms = field.norms()
-    branch = (np.cos(theta)[:, None] * edge_frames.e_hat
-              + np.sin(theta)[:, None] * edge_frames.t_hat)
+    frames = mesh.edge_frames
+    branch = (np.cos(theta)[:, None] * frames.e_hat
+              + np.sin(theta)[:, None] * frames.t_hat)
     branch[~defined] = 0.0
 
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]]

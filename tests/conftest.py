@@ -3,24 +3,23 @@ import time
 import numpy as np
 import pytest
 
-from crossfield import (NewtonOptions, build_edge_frames, newton_solve,
-                        triangle_frames)
+from crossfield import NewtonOptions, newton_solve, triangle_frames
 
 import meshes
 
 
 class SolvedCase:
-    """A mesh with its frames and a converged field, shared across tests."""
+    """A mesh with a converged field and its triangle frames, shared
+    across tests."""
 
     def __init__(self, mesh, order, options):
         self.mesh = mesh
         self.order = order
         self.options = options
-        self.edge_frames = build_edge_frames(mesh)
         start = time.perf_counter()
-        self.field, self.log = newton_solve(mesh, self.edge_frames, order, options)
+        self.field, self.log = newton_solve(mesh, order, options)
         self.solve_seconds = time.perf_counter() - start
-        self.tri_frames = triangle_frames(mesh, self.edge_frames, order)
+        self.tri_frames = triangle_frames(mesh, order)
 
 
 @pytest.fixture(scope="session")

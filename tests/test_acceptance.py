@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crossfield import (Discretization, QuadMesh, SurfaceMesh, audit,
-                        build_edge_frames, constraint_dofs,
+                        constraint_dofs,
                         extract_singularities, fekete_optimize, gl_residual,
                         align_point_sets, mean_edge_length, newton_solve,
                         poincare_hopf_check, tilt_sweep, topology_report,
@@ -166,8 +166,7 @@ def test_criterion_6_numerical_properties(sphere_cross, sphere_asterisk,
     for case in range(20):
         verts, tris = meshes.random_planar_delaunay(25, seed=1000 + case)
         mesh = SurfaceMesh(verts, tris)
-        frames = build_edge_frames(mesh)
-        disc = Discretization(mesh, frames, 4)
+        disc = Discretization(mesh, 4)
         x = rng.normal(size=disc.n_dofs) * 0.9
         eps = 0.4
         grad = disc.residual(x, eps)
@@ -186,8 +185,7 @@ def test_criterion_6_numerical_properties(sphere_cross, sphere_asterisk,
     # assembled matrix symmetry
     verts, tris = meshes.random_planar_delaunay(40, seed=77)
     mesh = SurfaceMesh(verts, tris)
-    frames = build_edge_frames(mesh)
-    disc = Discretization(mesh, frames, 4)
+    disc = Discretization(mesh, 4)
     x = rng.normal(size=disc.n_dofs)
     matrix, _ = disc.newton_system(x, 0.3)
     gap = matrix - matrix.T
@@ -200,8 +198,7 @@ def test_criterion_6_numerical_properties(sphere_cross, sphere_asterisk,
     shuffled_mesh = SurfaceMesh(
         base.mesh.vertices,
         base.mesh.triangles[np.random.default_rng(5).permutation(base.mesh.n_triangles)])
-    sframes = build_edge_frames(shuffled_mesh)
-    sfield, slog = newton_solve(shuffled_mesh, sframes, 4, base.options)
+    sfield, slog = newton_solve(shuffled_mesh, 4, base.options)
     drift = np.abs(sfield.values - base.field.values).max()
     if not slog.converged or drift > 1e-9:
         failures.append(f"reorder drift {drift:.1e}")
@@ -225,7 +222,7 @@ def test_criterion_7_pde_residual(sphere_cross, sphere_asterisk, square_cross,
     for name, case in (("sphere4", sphere_cross), ("sphere6", sphere_asterisk),
                        ("square", square_cross), ("lshape", lshape_cross),
                        ("disk", disk_cross), ("torus", torus_cross)):
-        residual = gl_residual(case.mesh, case.edge_frames, case.field)
+        residual = gl_residual(case.mesh, case.field)
         mask, _, _ = constraint_dofs(case.mesh, case.options)
         norm = float(np.linalg.norm(residual[~mask]))
         details.append(f"{name}={norm:.1e}")

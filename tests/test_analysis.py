@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
-from crossfield import (FieldSolution, SurfaceMesh, build_edge_frames,
-                        edge_angles, extract_singularities,
-                        poincare_hopf_check, singularities_to_json,
+from crossfield import (FieldSolution, SurfaceMesh, edge_angles,
+                        extract_singularities, poincare_hopf_check,
+                        singularities_to_json,
                         triangle_frames, triangle_windings,
                         vertex_windings, winding_total)
 from crossfield import analysis
@@ -46,21 +46,20 @@ def test_edge_angles_range_and_undefined():
 def one_triangle_setup():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
-    frames = build_edge_frames(mesh)
-    tf = triangle_frames(mesh, frames, 4)
-    return mesh, frames, tf
+    return mesh, triangle_frames(mesh, 4)
 
 
 def test_constant_field_has_zero_winding():
-    mesh, frames, tf = one_triangle_setup()
-    phi = np.arctan2(frames.e_hat[:, 1], frames.e_hat[:, 0])
+    mesh, tf = one_triangle_setup()
+    e_hat = mesh.edge_frames.e_hat
+    phi = np.arctan2(e_hat[:, 1], e_hat[:, 0])
     values = np.stack([np.cos(4 * -phi), np.sin(4 * -phi)], axis=1)
     field = FieldSolution(order=4, values=values, epsilon=0.1)
     assert triangle_windings(mesh, tf, field)[0][0] == 0
 
 
 def test_prescribed_common_frame_angles_give_full_turn():
-    mesh, frames, tf = one_triangle_setup()
+    mesh, tf = one_triangle_setup()
     target = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
     local1, local2 = tf.to_edges(np.cos(target)[None], np.sin(target)[None])
     values = np.zeros((mesh.n_edges, 2))
@@ -70,7 +69,7 @@ def test_prescribed_common_frame_angles_give_full_turn():
     assert triangle_windings(mesh, tf, field)[0][0] == 1
 
 
-def synthetic_sphere_field(mesh, frames, order, roots):
+def synthetic_sphere_field(mesh, order, roots):
     """Representation field with prescribed unit-winding zeros on the
     sphere, built in a single conformal chart."""
     mid = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
@@ -88,6 +87,7 @@ def synthetic_sphere_field(mesh, frames, order, roots):
     v_c = d_dv / np.linalg.norm(d_dv, axis=1)[:, None]
     beta = np.angle(psi) / order
     direction = np.cos(beta)[:, None] * u_c + np.sin(beta)[:, None] * v_c
+    frames = mesh.edge_frames
     theta = np.arctan2((direction * frames.t_hat).sum(1),
                        (direction * frames.e_hat).sum(1))
     values = np.stack([np.cos(order * theta), np.sin(order * theta)], axis=1)
@@ -107,10 +107,9 @@ def test_synthetic_field_charge_bookkeeping():
     """Eight prescribed zeros must register as exactly eight unit charges
     split between triangle loops and vertex loops."""
     mesh = meshes.surface(meshes.golden_spiral_sphere, 1482)
-    frames = build_edge_frames(mesh)
     roots = anticube_points()
-    field = synthetic_sphere_field(mesh, frames, 4, roots)
-    tf = triangle_frames(mesh, frames, 4)
+    field = synthetic_sphere_field(mesh, 4, roots)
+    tf = triangle_frames(mesh, 4)
 
     w_tri, flagged = triangle_windings(mesh, tf, field)
     w_vert, resid = vertex_windings(mesh, tf, field)
@@ -360,7 +359,7 @@ def extraction_cases(request):
                zeroed(disk.field, edges))
     sphere = request.getfixturevalue("sphere_cross")
     yield ("synthetic", sphere.mesh, sphere.tri_frames, synthetic_sphere_field(
-        sphere.mesh, sphere.edge_frames, 4, anticube_points()))
+        sphere.mesh, 4, anticube_points()))
 
 
 def test_extraction_matches_the_whole_mesh_reference(request):
@@ -405,7 +404,6 @@ def test_boundary_corner_rounding():
     # right-angle corners contribute 1/4, straight boundary vertices 0,
     # and the reflex corner of the l-shape -1/4
     mesh = meshes.surface(meshes.square_grid_tri, 4)
-    frames = build_edge_frames(mesh)
     field = FieldSolution(order=4, values=np.ones((mesh.n_edges, 2)), epsilon=0.1)
     report = poincare_hopf_check(mesh, [], field)
     assert report.corner_sum == 1
@@ -437,7 +435,7 @@ def test_random_hull_windings_sum_to_order_times_chi(n, order, seed):
     points = rng.normal(size=(n, 3))
     points /= np.linalg.norm(points, axis=1)[:, None]
     mesh = convex_hull_mesh(points)
-    tf = triangle_frames(mesh, build_edge_frames(mesh), order)
+    tf = triangle_frames(mesh, order)
     angle = rng.uniform(-np.pi, np.pi, mesh.n_edges)
     radius = rng.uniform(0.5, 1.5, mesh.n_edges)
     field = FieldSolution(order=order, epsilon=0.1, values=np.stack(

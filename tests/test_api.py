@@ -9,6 +9,7 @@ import pytest
 
 import crossfield
 from crossfield import cli
+from crossfield import frames as frames_module
 from crossfield.mesh import _FacetMesh
 
 import meshes
@@ -58,7 +59,36 @@ def test_solve_settings_are_the_ones_callers_set():
     assert list(inspect.signature(crossfield.load_mesh).parameters) == ["path"]
     for function in (crossfield.gl_energy, crossfield.gl_residual):
         assert list(inspect.signature(function).parameters) == [
-            "mesh", "edge_frames", "field"]
+            "mesh", "field"]
+
+
+def test_the_mesh_owns_its_edge_frames(tmp_path, monkeypatch):
+    """Solve, energy, transport and export take the mesh alone: the mesh
+    builds its edge frames once, on first use, for every caller."""
+    for function in (crossfield.Discretization, crossfield.newton_solve,
+                     crossfield.gl_energy, crossfield.gl_residual,
+                     crossfield.triangle_frames, crossfield.write_field_vtk):
+        assert "edge_frames" not in inspect.signature(function).parameters
+    verts, tris = meshes.golden_spiral_sphere(60)
+    mesh = crossfield.SurfaceMesh(verts, tris)
+    assert mesh.edge_frames is mesh.edge_frames
+    built = crossfield.build_edge_frames(mesh)
+    for got, want in zip(dataclasses.astuple(mesh.edge_frames),
+                         dataclasses.astuple(built)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    builds = []
+    build = frames_module.build_edge_frames
+
+    def counted(mesh):
+        builds.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(frames_module, "build_edge_frames", counted)
+    path = tmp_path / "sphere.off"
+    meshes.write_off(path, verts, tris)
+    cli.run_solve(str(path), out_field=str(tmp_path / "field.vtk"))
+    assert len(builds) == 1
 
 
 def test_solve_state_is_the_state_callers_read(tmp_path):
@@ -68,7 +98,7 @@ def test_solve_state_is_the_state_callers_read(tmp_path):
         "cos", "sin"]
     verts, tris = meshes.golden_spiral_sphere(60)
     mesh = crossfield.SurfaceMesh(verts, tris)
-    disc = crossfield.Discretization(mesh, crossfield.build_edge_frames(mesh))
+    disc = crossfield.Discretization(mesh)
     for obj, attr in ((disc, "edge_frames"), (disc, "order"),
                       (_FacetMesh, "edge_vectors"),
                       (crossfield.IrregularVertex, "mismatch")):

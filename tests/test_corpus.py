@@ -70,13 +70,13 @@ def test_solve_corpus_certifies(corpus_dir, name, k, seed, order):
     meshes.write_off(path, verts, tris)
     solved = []
 
-    def recorded(mesh, edge_frames, order, options):
-        field, log = newton_solve(mesh, edge_frames, order, options)
-        solved.append((mesh, edge_frames, options, field))
+    def recorded(mesh, order, options):
+        field, log = newton_solve(mesh, order, options)
+        solved.append((mesh, options, field))
         return field, log
     with mock.patch.object(cli, "newton_solve", recorded):
         code, report = cli.run_solve(str(path), symmetry=order, seed=seed)
-    (mesh, frames, options, field), = solved
+    (mesh, options, field), = solved
     mask, values, pinned = constraint_dofs(mesh, options)
     assert (pinned is None) == (name in BOUNDED)
     held = np.concatenate([field.values[:, 0], field.values[:, 1]])[mask]
@@ -86,5 +86,5 @@ def test_solve_corpus_certifies(corpus_dir, name, k, seed, order):
         return
     assert code == 0 and report["poincare_hopf"]["pass"]
     if name in CLOSED:
-        total = winding_total(mesh, triangle_frames(mesh, frames, order), field)
+        total = winding_total(mesh, triangle_frames(mesh, order), field)
         assert total == order * topology_report(mesh).chi

@@ -100,8 +100,7 @@ def test_rotation_matrix_orthogonal_and_periodic(order):
 
 def test_triangle_frames_reference_is_zero():
     mesh = meshes.surface(meshes.golden_spiral_sphere, 200)
-    frames = build_edge_frames(mesh)
-    tf = triangle_frames(mesh, frames, 4)
+    tf = triangle_frames(mesh, 4)
     assert np.all(tf.cos[:, 0] == 1.0)
     assert np.all(tf.sin[:, 0] == 0.0)
     a, b = np.random.default_rng(3).normal(size=(2,) + tf.cos.shape)
@@ -140,11 +139,11 @@ def test_planar_transport_of_constant_direction(order):
     identical values in each element's shared frame."""
     verts, tris = meshes.random_planar_delaunay(40, seed=5)
     mesh = SurfaceMesh(verts, tris)
-    frames = build_edge_frames(mesh)
-    tf = triangle_frames(mesh, frames, order)
+    tf = triangle_frames(mesh, order)
 
     theta_global = 0.8137
-    phi = np.arctan2(frames.e_hat[:, 1], frames.e_hat[:, 0])
+    e_hat = mesh.edge_frames.e_hat
+    phi = np.arctan2(e_hat[:, 1], e_hat[:, 0])
     values = np.stack([np.cos(order * (theta_global - phi)),
                        np.sin(order * (theta_global - phi))], axis=1)
     corner = values[mesh.facet_edges]

@@ -167,7 +167,7 @@ def test_component_kernels_keep_every_bit(name, k, seed, rotate, order):
                          (e_hat, t_hat, n_hat)):
         assert same_bits(got, want)
 
-    disc = Discretization(mesh, frames, order)
+    disc = Discretization(mesh, order)
     tf = disc.tri_frames
     cos, sin = reference_triangle_frames(mesh, normals, e_hat, order)
     for got, want in zip((tf.cos, tf.sin), (cos, sin)):

@@ -14,7 +14,6 @@ from crossfield import (CR_GRADIENTS, Discretization, EnergyBreakdown,
                         FieldSolution,
                         InvalidMeshError, NewtonOptions, SingularFactorError,
                         SurfaceMesh, TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS,
-                        build_edge_frames,
                         constraint_dofs, cr_shapes, gl_energy, gl_residual,
                         newton_solve,
                         extract_singularities, poincare_hopf_check,
@@ -30,13 +29,12 @@ import meshes
 
 
 def aligned_square_case(n=8):
-    mesh = meshes.surface(meshes.square_grid_tri, n)
-    frames = build_edge_frames(mesh)
-    return mesh, frames
+    return meshes.surface(meshes.square_grid_tri, n)
 
 
-def transported_constant(mesh, frames, order, theta_global=0.0):
-    phi = np.arctan2(frames.e_hat[:, 1], frames.e_hat[:, 0])
+def transported_constant(mesh, order, theta_global=0.0):
+    e_hat = mesh.edge_frames.e_hat
+    phi = np.arctan2(e_hat[:, 1], e_hat[:, 0])
     return np.stack([np.cos(order * (theta_global - phi)),
                      np.sin(order * (theta_global - phi))], axis=1)
 
@@ -86,7 +84,7 @@ def test_quadrature_exact_to_degree_four():
 def test_element_stiffness_entry_on_reference_triangle():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]))
-    disc = Discretization(mesh, build_edge_frames(mesh), 4)
+    disc = Discretization(mesh, 4)
     assert disc.stiffness[0, 0] == pytest.approx(2.0, abs=1e-13)
     _, rhs = disc.newton_system(np.zeros(disc.n_dofs), 0.5)
     assert np.abs(rhs).max() == 0.0
@@ -94,15 +92,15 @@ def test_element_stiffness_entry_on_reference_triangle():
 
 def test_discretization_reads_the_mesh_areas():
     mesh = meshes.surface(meshes.golden_spiral_sphere, 60)
-    disc = Discretization(mesh, build_edge_frames(mesh), 4)
+    disc = Discretization(mesh, 4)
     assert disc.areas is mesh.triangle_areas
 
 
 def test_element_zero_field_reduces_to_stiffness():
     """About the zero field the Hessian is ``K - M / eps^2``: no f1/f2
     coupling, and the element mass matrix is exactly diagonal."""
-    mesh, frames = aligned_square_case(2)
-    disc = Discretization(mesh, frames, 4)
+    mesh = aligned_square_case(2)
+    disc = Discretization(mesh, 4)
     eps = 0.3
     matrix, rhs = disc.newton_system(np.zeros(disc.n_dofs), eps)
     expected = disc.stiffness - diags(disc.lumped_mass()) / eps**2
@@ -113,8 +111,7 @@ def test_element_zero_field_reduces_to_stiffness():
 def test_newton_matrix_symmetry():
     verts, tris = meshes.random_planar_delaunay(30, seed=6)
     mesh = SurfaceMesh(verts, tris)
-    frames = build_edge_frames(mesh)
-    disc = Discretization(mesh, frames, 4)
+    disc = Discretization(mesh, 4)
     rng = np.random.default_rng(8)
     x = rng.normal(size=disc.n_dofs)
     matrix, _ = disc.newton_system(x, 0.3)
@@ -126,8 +123,7 @@ def test_newton_matrix_symmetry():
 def test_newton_rhs_is_full_newton_step():
     verts, tris = meshes.random_planar_delaunay(20, seed=9)
     mesh = SurfaceMesh(verts, tris)
-    frames = build_edge_frames(mesh)
-    disc = Discretization(mesh, frames, 4)
+    disc = Discretization(mesh, 4)
     rng = np.random.default_rng(10)
     x = rng.normal(size=disc.n_dofs)
     matrix, rhs = disc.newton_system(x, 0.5)
@@ -188,7 +184,7 @@ def assembly_mesh(request, sphere_mesh):
 @pytest.mark.parametrize("order", [4, 6])
 @pytest.mark.parametrize("eps", [0.1, 0.4])
 def test_newton_system_equals_coo_assembly_bit_for_bit(assembly_mesh, order, eps):
-    disc = Discretization(assembly_mesh, build_edge_frames(assembly_mesh), order)
+    disc = Discretization(assembly_mesh, order)
     x = np.random.default_rng(order).uniform(-1.0, 1.0, size=disc.n_dofs)
     matrix, rhs = disc.newton_system(x, eps)
     expected, expected_rhs = coo_newton_system(disc, x, eps)
@@ -202,7 +198,7 @@ def test_newton_system_keeps_the_signs_of_zeros():
     """At the zero field the order-6 L-shape system has entries that COO
     assembly leaves at -0.0; adding from +0.0 would turn them into +0.0."""
     mesh = meshes.surface(meshes.lshape_tri, 6)
-    disc = Discretization(mesh, build_edge_frames(mesh), 6)
+    disc = Discretization(mesh, 6)
     x = np.zeros(disc.n_dofs)
     expected, _ = coo_newton_system(disc, x, 0.3)
     assert np.signbit(expected.data[expected.data == 0.0]).any()
@@ -211,9 +207,9 @@ def test_newton_system_keeps_the_signs_of_zeros():
 
 @pytest.mark.parametrize("case", ["aligned-square", "pinned-sphere"])
 def test_gathered_free_blocks_equal_slicing(case, sphere_mesh):
-    mesh = (aligned_square_case(10)[0] if case == "aligned-square"
+    mesh = (aligned_square_case(10) if case == "aligned-square"
             else sphere_mesh)
-    disc = Discretization(mesh, build_edge_frames(mesh), 4)
+    disc = Discretization(mesh, 4)
     mask, values, _ = constraint_dofs(mesh, NewtonOptions(epsilon=0.2))
     assert 0 < mask.sum() < len(mask)
     x = np.random.default_rng(5).uniform(-1.0, 1.0, size=disc.n_dofs)
@@ -279,8 +275,7 @@ def test_solve_call_structure(monkeypatch):
         return splu(*args, permc_spec=permc_spec, **kwargs)
     monkeypatch.setattr(solver, "splu", ordering_recorded)
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
-    field, log = newton_solve(mesh, build_edge_frames(mesh), 4,
-                              NewtonOptions(epsilon=0.3, tol=1e-12))
+    field, log = newton_solve(mesh, 4, NewtonOptions(epsilon=0.3, tol=1e-12))
     steps = log.iterations
     assert log.converged and steps > 2
     assert calls == {"newton_system": steps, "residual": steps + 2,
@@ -292,8 +287,7 @@ def test_solve_call_structure(monkeypatch):
     calls.clear()
     orderings.clear()
     mesh = meshes.surface(meshes.lshape_tri, 6)
-    field, log = newton_solve(mesh, build_edge_frames(mesh), 4,
-                              NewtonOptions(tol=1e-12))
+    field, log = newton_solve(mesh, 4, NewtonOptions(tol=1e-12))
     assert log.converged and log.iterations == 0
     assert calls == {"residual": 1, "_quadrature": 1, "splu": 1}
     assert orderings == ["MMD_AT_PLUS_A"]
@@ -302,20 +296,20 @@ def test_solve_call_structure(monkeypatch):
 # -- energies and gradients ---------------------------------------------------
 
 def test_energy_of_constant_unit_field_is_zero():
-    mesh, frames = aligned_square_case(6)
-    values = transported_constant(mesh, frames, 4)
+    mesh = aligned_square_case(6)
+    values = transported_constant(mesh, 4)
     field = FieldSolution(order=4, values=values, epsilon=0.2)
-    energy = gl_energy(mesh, frames, field)
+    energy = gl_energy(mesh, field)
     assert energy.smoothing == pytest.approx(0.0, abs=1e-13)
     assert energy.penalty == pytest.approx(0.0, abs=1e-13)
     assert energy.total == pytest.approx(0.0, abs=1e-13)
 
 
 def test_energy_of_zero_field_is_area_over_4_eps2():
-    mesh, frames = aligned_square_case(6)
+    mesh = aligned_square_case(6)
     eps = 0.3
     field = FieldSolution(order=4, values=np.zeros((mesh.n_edges, 2)), epsilon=eps)
-    energy = gl_energy(mesh, frames, field)
+    energy = gl_energy(mesh, field)
     assert energy.smoothing == 0.0
     assert energy.penalty == pytest.approx(1.0 / (4 * eps**2), rel=1e-12)
 
@@ -324,8 +318,7 @@ def test_energy_of_zero_field_is_area_over_4_eps2():
 def test_gradient_matches_finite_differences(seed):
     verts, tris = meshes.random_planar_delaunay(30, seed=100 + seed)
     mesh = SurfaceMesh(verts, tris)
-    frames = build_edge_frames(mesh)
-    disc = Discretization(mesh, frames, 4)
+    disc = Discretization(mesh, 4)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=disc.n_dofs) * 0.8
     eps = 0.4
@@ -341,9 +334,9 @@ def test_gradient_matches_finite_differences(seed):
 
 
 def test_energy_perturbation_matches_directional_derivative():
-    mesh, frames = aligned_square_case(5)
-    disc = Discretization(mesh, frames, 4)
-    x0 = disc.vector_from_values(transported_constant(mesh, frames, 4))
+    mesh = aligned_square_case(5)
+    disc = Discretization(mesh, 4)
+    x0 = disc.vector_from_values(transported_constant(mesh, 4))
     rng = np.random.default_rng(3)
     direction = rng.normal(size=disc.n_dofs)
     direction /= np.linalg.norm(direction)
@@ -362,16 +355,15 @@ SMOOTHING_ONLY = NewtonOptions(epsilon=1e9)
 
 
 def test_laplacian_square_is_exact_constant():
-    mesh, frames = aligned_square_case(8)
-    field, _ = newton_solve(mesh, frames, 4, SMOOTHING_ONLY)
-    exact = transported_constant(mesh, frames, 4)
+    mesh = aligned_square_case(8)
+    field, _ = newton_solve(mesh, 4, SMOOTHING_ONLY)
+    exact = transported_constant(mesh, 4)
     assert np.abs(field.values - exact).max() < 1e-10
 
 
 def test_laplacian_disk_norm_sags_inside():
     mesh = meshes.surface(meshes.disk_hex, 10)
-    frames = build_edge_frames(mesh)
-    field, _ = newton_solve(mesh, frames, 4, SMOOTHING_ONLY)
+    field, _ = newton_solve(mesh, 4, SMOOTHING_ONLY)
     norms = field.norms()
     assert norms[mesh.boundary_edge].min() > 0.9
     assert norms.min() < 0.5
@@ -379,8 +371,7 @@ def test_laplacian_disk_norm_sags_inside():
 
 def test_laplacian_closed_sphere_with_pin_is_finite():
     mesh = meshes.surface(meshes.golden_spiral_sphere, 200)
-    frames = build_edge_frames(mesh)
-    field, _ = newton_solve(mesh, frames, 4, SMOOTHING_ONLY)
+    field, _ = newton_solve(mesh, 4, SMOOTHING_ONLY)
     assert np.isfinite(field.values).all()
 
 
@@ -388,7 +379,6 @@ def test_closed_surface_is_pinned_and_disconnected_mesh_raises():
     """A surface without boundary pins one seed-drawn edge at (1, 0), so
     every solve has a constraint; a mesh of two components is rejected."""
     mesh = meshes.surface(meshes.octahedron)
-    frames = build_edge_frames(mesh)
     options = NewtonOptions(epsilon=0.5)
     mask, values, edge = constraint_dofs(mesh, options)
     assert np.flatnonzero(mask).tolist() == [edge, edge + mesh.n_edges]
@@ -400,7 +390,7 @@ def test_closed_surface_is_pinned_and_disconnected_mesh_raises():
         tris = np.vstack([disconnected.triangles,
                           disconnected.triangles + disconnected.n_vertices])
         both = SurfaceMesh(verts, tris)
-        newton_solve(both, build_edge_frames(both), 4, options)
+        newton_solve(both, 4, options)
 
 
 def test_options_validation():
@@ -420,14 +410,14 @@ def test_square_converges_immediately(square_cross):
     assert log.converged
     assert log.iterations == 0
     assert log.residuals[-1] <= 1e-12
-    exact = transported_constant(square_cross.mesh, square_cross.edge_frames, 4)
+    exact = transported_constant(square_cross.mesh, 4)
     assert np.abs(square_cross.field.values - exact).max() < 1e-9
     sings, _ = extract_singularities(
         square_cross.mesh, square_cross.tri_frames, square_cross.field)
     assert sings == []
 
 
-def _solve_counting_factors(monkeypatch, mesh, frames, options):
+def _solve_counting_factors(monkeypatch, mesh, options):
     """``newton_solve`` at N = 4 and the number of ``splu`` calls it made."""
     calls = []
     splu = solver_module.splu
@@ -436,7 +426,7 @@ def _solve_counting_factors(monkeypatch, mesh, frames, options):
         calls.append(None)
         return splu(*args, **kwargs)
     monkeypatch.setattr(solver_module, "splu", counted)
-    field, log = newton_solve(mesh, frames, 4, options)
+    field, log = newton_solve(mesh, 4, options)
     return field, log, len(calls)
 
 
@@ -447,14 +437,12 @@ def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
     """An aligned N = 4 field on an axis-aligned polygon is the warm start
     itself: the gradient test passes before any Newton system is built."""
     mesh = meshes.surface(generator, n)
-    frames = build_edge_frames(mesh)
     options = NewtonOptions(tol=1e-12)
-    field, log, factors = _solve_counting_factors(monkeypatch, mesh, frames,
-                                                  options)
+    field, log, factors = _solve_counting_factors(monkeypatch, mesh, options)
     assert log.converged and log.iterations == 0
     assert len(log.residuals) == 1 and log.residuals[0] <= options.tol
     assert factors == 1
-    disc = Discretization(mesh, frames, 4)
+    disc = Discretization(mesh, 4)
     mask, cvalues, _ = constraint_dofs(mesh, options)
     x, residual, _ = _warm_start(disc, mask, cvalues,
                                  _free_blocks(disc.stiffness, mask),
@@ -471,16 +459,15 @@ def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
     lumped mass, and no free blocks renumbered for a step that never
     comes.  The field is one solve of the factored stiffness, projected."""
     mesh = meshes.surface(generator, n)
-    frames = build_edge_frames(mesh)
     options = NewtonOptions(tol=1e-12)
     calls = _count_calls(monkeypatch, [
         (solver_module, "_project"), (solver_module, "_in_elimination_order"),
         (Discretization, "lumped_mass")])
-    field, log = newton_solve(mesh, frames, 4, options)
+    field, log = newton_solve(mesh, 4, options)
     assert log.converged and log.iterations == 0
     assert calls == {"_project": 1}
 
-    disc = Discretization(mesh, frames, 4)
+    disc = Discretization(mesh, 4)
     mask, cvalues, _ = constraint_dofs(mesh, options)
     blocks = _free_blocks(disc.stiffness, mask)
     lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
@@ -498,7 +485,7 @@ def test_warm_start_sweeps_match_the_reference_loop(monkeypatch, rounds):
     loop kept here, and hands back the gradient after them and a copy of
     the factor's ordering."""
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
-    disc = Discretization(mesh, build_edge_frames(mesh), 4)
+    disc = Discretization(mesh, 4)
     options = NewtonOptions(epsilon=0.3)
     mask, cvalues, _ = constraint_dofs(mesh, options)
     blocks = _free_blocks(disc.stiffness, mask)
@@ -529,22 +516,20 @@ def test_planar_delaunay_square_solves_to_transported_constant(monkeypatch, seed
     """On an irregular triangulation of the square the warm start need not
     be stationary; every step taken costs exactly one factorisation."""
     mesh = meshes.surface(meshes.random_planar_delaunay, 60, seed)
-    frames = build_edge_frames(mesh)
-    field, log, factors = _solve_counting_factors(monkeypatch, mesh, frames,
+    field, log, factors = _solve_counting_factors(monkeypatch, mesh,
                                                   NewtonOptions(tol=1e-12))
     assert log.converged
     assert factors == log.iterations + 1
     assert len(boundary_loops(mesh)) == 1
-    exact = transported_constant(mesh, frames, 4)
+    exact = transported_constant(mesh, 4)
     assert np.abs(field.values - exact).max() < 1e-9
 
 
 def test_huge_epsilon_recovers_smoothing_solution():
     mesh = meshes.surface(meshes.disk_hex, 8)
-    frames = build_edge_frames(mesh)
-    field, log = newton_solve(mesh, frames, 4, SMOOTHING_ONLY)
+    field, log = newton_solve(mesh, 4, SMOOTHING_ONLY)
     assert log.converged
-    disc = Discretization(mesh, frames, 4)
+    disc = Discretization(mesh, 4)
     mask, _, _ = constraint_dofs(mesh, SMOOTHING_ONLY)
     x = disc.vector_from_values(field.values)
     assert np.abs((disc.stiffness @ x)[~mask]).max() < 1e-9
@@ -559,10 +544,9 @@ def test_convergence_log_shape(square_cross):
 
 def test_non_convergence_reported(caplog):
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
-    frames = build_edge_frames(mesh)
     options = NewtonOptions(epsilon=0.25, max_iter=1)
     with caplog.at_level(logging.WARNING, logger="crossfield.solver"):
-        field, log = newton_solve(mesh, frames, 4, options)
+        field, log = newton_solve(mesh, 4, options)
     assert not log.converged
     assert log.iterations == 1
     assert any("no convergence" in rec.message for rec in caplog.records)
@@ -576,8 +560,7 @@ def test_energy_rise_log_shows_the_rise(monkeypatch, caplog):
     monkeypatch.setattr(Discretization, "energy", lambda self, x, epsilon:
                         EnergyBreakdown(0.0, 0.0, next(energies)))
     with caplog.at_level(logging.DEBUG, logger="crossfield.solver"):
-        newton_solve(mesh, build_edge_frames(mesh), 4,
-                     NewtonOptions(epsilon=0.25, max_iter=2))
+        newton_solve(mesh, 4, NewtonOptions(epsilon=0.25, max_iter=2))
     rises = [re.fullmatch(r"energy rose by (\S+) to (\S+)", rec.getMessage())
              for rec in caplog.records]
     rises = [(float(m[1]), float(m[2])) for m in rises if m]
@@ -593,8 +576,7 @@ def test_nan_gradient_runs_the_step_budget(monkeypatch):
     mesh = meshes.surface(meshes.square_grid_tri, 4)
     monkeypatch.setattr(Discretization, "residual",
                         lambda self, x, epsilon: np.full(self.n_dofs, np.nan))
-    field, log = newton_solve(mesh, build_edge_frames(mesh), 4,
-                              NewtonOptions(max_iter=3))
+    field, log = newton_solve(mesh, 4, NewtonOptions(max_iter=3))
     assert not log.converged
     assert log.iterations == 3
 
@@ -603,8 +585,7 @@ def test_triangle_reordering_leaves_solution(disk_cross):
     mesh = disk_cross.mesh
     rng = np.random.default_rng(12)
     shuffled = SurfaceMesh(mesh.vertices, mesh.triangles[rng.permutation(mesh.n_triangles)])
-    frames = build_edge_frames(shuffled)
-    field, log = newton_solve(shuffled, frames, 4, disk_cross.options)
+    field, log = newton_solve(shuffled, 4, disk_cross.options)
     assert log.converged
     # identical vertex set, so the derived edge table and ids coincide
     assert np.array_equal(shuffled.edges, mesh.edges)
@@ -617,8 +598,7 @@ def test_vertex_relabel_leaves_directions(square_cross):
     perm = rng.permutation(mesh.n_vertices)
     inverse = np.argsort(perm)
     relabeled = SurfaceMesh(mesh.vertices[inverse], perm[mesh.triangles])
-    frames = build_edge_frames(relabeled)
-    field, log = newton_solve(relabeled, frames, 4, square_cross.options)
+    field, log = newton_solve(relabeled, 4, square_cross.options)
     assert log.converged
 
     def edge_key(mesh_, e):
@@ -645,12 +625,10 @@ RELABEL_FIXTURES = {
 
 
 def relabel_outcome(mesh, order, eps):
-    frames = build_edge_frames(mesh)
-    field, log = newton_solve(mesh, frames, order,
-                              NewtonOptions(epsilon=eps, tol=1e-12))
+    field, log = newton_solve(mesh, order, NewtonOptions(epsilon=eps, tol=1e-12))
     assert log.converged
     sings, _ = extract_singularities(
-        mesh, triangle_frames(mesh, frames, order), field)
+        mesh, triangle_frames(mesh, order), field)
     corners = poincare_hopf_check(mesh, sings, field).corner_sum
     return field.values, sorted(s.index for s in sings), corners
 
@@ -714,7 +692,7 @@ def test_relabelling_keeps_singularities_at_tied_corners():
 
 
 def test_residual_vector_is_energy_gradient_of_converged(disk_cross):
-    r = gl_residual(disk_cross.mesh, disk_cross.edge_frames, disk_cross.field)
+    r = gl_residual(disk_cross.mesh, disk_cross.field)
     mask, _, _ = constraint_dofs(disk_cross.mesh, disk_cross.options)
     assert np.linalg.norm(r[~mask]) <= 1e-11
 
@@ -740,8 +718,7 @@ def test_converged_norm_band(sphere_cross):
 
 def test_factor_takes_diagonal_pivots_on_indefinite_newton_matrix():
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
-    frames = build_edge_frames(mesh)
-    disc = Discretization(mesh, frames, 4)
+    disc = Discretization(mesh, 4)
     options = NewtonOptions(epsilon=0.25)
     mask, values, _ = constraint_dofs(mesh, options)
     x = np.random.default_rng(3).uniform(-0.3, 0.3, size=disc.n_dofs)
@@ -774,7 +751,7 @@ def newton_in_elimination_order(request, sphere_mesh):
     name, order = request.param.split("-")
     mesh = (sphere_mesh if name == "sphere"
             else meshes.surface(meshes.lshape_tri, 8))
-    disc = Discretization(mesh, build_edge_frames(mesh), int(order))
+    disc = Discretization(mesh, int(order))
     mask, values, _ = constraint_dofs(mesh, NewtonOptions(epsilon=0.1))
     factors = []
     original = solver_module.splu
@@ -860,11 +837,10 @@ def test_asterisk_sphere_ends_at_a_minimum(sphere_mesh):
     """From pin 1, undamped Newton converges to a saddle (energy 57.75872,
     one negative Hessian pivot); the capped step reaches the minimum near
     57.1421."""
-    frames = build_edge_frames(sphere_mesh)
     options = NewtonOptions(epsilon=0.1, tol=1e-12, rng_seed=1)
-    field, log = newton_solve(sphere_mesh, frames, 6, options)
+    field, log = newton_solve(sphere_mesh, 6, options)
     assert log.converged
-    disc = Discretization(sphere_mesh, frames, 6)
+    disc = Discretization(sphere_mesh, 6)
     x = disc.vector_from_values(field.values)
     mask, values, _ = constraint_dofs(sphere_mesh, options)
     lu, _ = _factor_free(disc.newton_system(x, 0.1)[0], mask, values)
@@ -878,7 +854,6 @@ def test_energy_builds_no_stiffness(monkeypatch):
     discretisation never assembles the global stiffness, and the energy has
     the bits of one whose stiffness was built first."""
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
-    frames = build_edge_frames(mesh)
     angles = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, mesh.n_edges)
     field = FieldSolution(order=4, epsilon=0.3, values=np.stack(
         [np.cos(angles), 0.9 * np.sin(angles)], axis=1))
@@ -890,14 +865,14 @@ def test_energy_builds_no_stiffness(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(solver_module, "Discretization", Recorded)
-    lazy = gl_energy(mesh, frames, field)
+    lazy = gl_energy(mesh, field)
     assert len(built) == 1 and "stiffness" not in vars(built[0])
-    eager = Discretization(mesh, frames, 4)
+    eager = Discretization(mesh, 4)
     assert eager.stiffness.nnz > 0 and "stiffness" in vars(eager)
     x = eager.vector_from_values(field.values)
     want = eager.energy(x, field.epsilon)
     assert np.array(lazy).tobytes() == np.array(want).tobytes()
-    assert (gl_residual(mesh, frames, field).tobytes()
+    assert (gl_residual(mesh, field).tobytes()
             == eager.residual(x, field.epsilon).tobytes())
 
 

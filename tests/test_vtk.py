@@ -1,20 +1,22 @@
 import numpy as np
+import pytest
 
-from crossfield import (FieldSolution, build_edge_frames, edge_angles,
-                        triangle_frames, triangle_windings, write_field_vtk)
+from crossfield import (FieldSolution, edge_angles, triangle_frames,
+                        triangle_windings, write_field_vtk)
 
 import meshes
 
 
-def reference_vtk(mesh, edge_frames, field, windings):
+def reference_vtk(mesh, field, windings):
     """The legacy file written one value at a time with ``f"{x:.17g}"``."""
     def fmt(x):
         return f"{float(x):.17g}"
 
     theta, defined = edge_angles(field)
     theta = np.where(defined, theta, 0.0)
-    branch = (np.cos(theta)[:, None] * edge_frames.e_hat
-              + np.sin(theta)[:, None] * edge_frames.t_hat)
+    frames = mesh.edge_frames
+    branch = (np.cos(theta)[:, None] * frames.e_hat
+              + np.sin(theta)[:, None] * frames.t_hat)
     branch[~defined] = 0.0
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
                        + mesh.vertices[mesh.edges[:, 1]])
@@ -40,17 +42,44 @@ def reference_vtk(mesh, edge_frames, field, windings):
 
 def test_block_formatting_matches_per_value_writer(tmp_path):
     mesh = meshes.surface(meshes.disk_hex, 4)
-    edge_frames = build_edge_frames(mesh)
     rng = np.random.default_rng(5)
     values = rng.normal(size=(mesh.n_edges, 2)) * 10.0 ** rng.integers(
         -20, 20, size=(mesh.n_edges, 1))
     values[0] = 0.0    # an undefined direction
     values[1] = -0.0
     field = FieldSolution(order=4, values=values, epsilon=0.3)
-    windings, _ = triangle_windings(
-        mesh, triangle_frames(mesh, edge_frames, 4), field)
+    windings, _ = triangle_windings(mesh, triangle_frames(mesh, 4), field)
     assert np.any(windings != 0)
 
     path = tmp_path / "field.vtk"
-    write_field_vtk(path, mesh, edge_frames, field, windings)
-    assert path.read_bytes() == reference_vtk(mesh, edge_frames, field, windings)
+    write_field_vtk(path, mesh, field, windings)
+    assert path.read_bytes() == reference_vtk(mesh, field, windings)
+
+
+def point_data(path, header, n_pts):
+    """The ``n_pts`` rows of the point-data block that ``header`` opens."""
+    lines = path.read_text().splitlines()
+    start = lines.index(header) + 1
+    if lines[start] == "LOOKUP_TABLE default":
+        start += 1
+    return np.loadtxt(lines[start:start + n_pts], ndmin=2)
+
+
+def test_edge_below_the_norm_floor_has_no_direction(tmp_path):
+    """An edge whose norm is below ``NORM_FLOOR``, where extraction reads
+    no angle, has no direction in ``edge_angles`` or in the file either."""
+    mesh = meshes.surface(meshes.disk_hex, 3)
+    values = np.tile([np.cos(1.0), np.sin(1.0)], (mesh.n_edges, 1))
+    values[2] *= 5e-10
+    field = FieldSolution(order=4, values=values, epsilon=0.3)
+    theta, defined = edge_angles(field)
+    assert not defined[2] and np.isnan(theta[2])
+    assert defined[np.arange(mesh.n_edges) != 2].all()
+
+    path = tmp_path / "field.vtk"
+    write_field_vtk(path, mesh, field, np.zeros(mesh.n_triangles, dtype=int))
+    branch = point_data(path, "VECTORS direction_branch double", mesh.n_edges)
+    theta = point_data(path, "SCALARS theta double 1", mesh.n_edges)
+    assert (branch[2] == 0.0).all() and theta[2, 0] == 0.0
+    assert (np.linalg.norm(branch, axis=1)[np.arange(mesh.n_edges) != 2]
+            == pytest.approx(1.0))
