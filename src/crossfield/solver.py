@@ -19,14 +19,20 @@ integrands exactly.
 
 The nonlinear solve starts from the renormalised smoothing-only solution,
 sharpened, unless it is stationary already, by a few smooth-and-renormalise
-sweeps that let the vortex structure settle, and then iterates Newton steps
-built from the exact second derivative of the energy.  Each step factors
-the symmetric free-dof Hessian once, with pivots taken on the diagonal and
-the fill-reducing ordering of the warm start's factor of the stiffness, and
-a step larger than ``STEP_CAP`` in any component is scaled down to it;
-convergence is tested on the 2-norm of the exact energy gradient, from the
-warm start's first projection on, never on the linearised residual, so a
-converged field is a genuine stationary point of the functional.
+sweeps that let the vortex structure settle.  In edge frames the stiffness
+is ``[[A, -B], [B, A]]``: on ``z = f1 + i*f2`` it is the Hermitian edge
+Laplacian ``H = A + iB`` (Knoeppel et al. 2013), whose factor a mesh with
+boundary takes for its warm start, at a quarter of the fill; a closed
+surface keeps the real factor, since its chaotic Newton path moves with the
+start's last bits.  Newton steps follow, built from the exact second
+derivative of the energy (real: its penalty curvature acts on the conjugate
+of ``z`` too).  Each factors the symmetric free-dof Hessian once, with
+pivots taken on the diagonal and the fill-reducing ordering of the solve's
+first real factor, and a step larger than ``STEP_CAP`` in any component is
+scaled down to it; convergence is tested on the 2-norm of the exact energy
+gradient, from the warm start's first projection on, never on the
+linearised residual, so a converged field is a genuine stationary point of
+the functional.
 """
 
 from __future__ import annotations
@@ -436,6 +442,20 @@ def _gather(matrix, positions):
                             positions.indptr), shape=positions.shape)
 
 
+def _splu(block, permc_spec):
+    """SuperLU factors of the square CSC ``block``, real or complex, with
+    pivots on the diagonal in symmetric mode; an exactly zero pivot raises
+    ``SingularFactorError``."""
+    try:
+        return splu(block, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        raise SingularFactorError(
+            f"singular system over {block.shape[0]} free unknowns: {exc}") from exc
+
+
 def _factor_free(matrix, mask, values, blocks=None):
     """LU factors of the free/free block of the symmetric CSR ``matrix`` and
     the constrained values' contribution ``K_fc @ values_c``, which moves to
@@ -455,15 +475,28 @@ def _factor_free(matrix, mask, values, blocks=None):
     # _in_elimination_order), and splu would sort a block not marked canonical
     reduced.has_canonical_format = True
     bound = _gather(matrix, blocks.free_fixed) @ values[mask]
-    try:
-        lu = splu(reduced, permc_spec=blocks.permc_spec, diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        if "singular" not in str(exc):
-            raise
-        raise SingularFactorError(
-            f"singular system over {reduced.shape[0]} free dofs: {exc}") from exc
-    return lu, bound
+    return _splu(reduced, blocks.permc_spec), bound
+
+
+def _factor_hermitian(stiffness, mask, values):
+    """The pair of ``lu.solve`` and bound that ``_factor_free`` gives for
+    the stiffness ``[[A, -B], [B, A]]``, over the free dofs in dof order,
+    from the LU factors of ``H = A + iB`` over the free edges, which acts on
+    ``z = f1 + i*f2`` as the stiffness acts on ``(f1, f2)``.  ``H`` keeps the
+    stiffness's stored pattern, explicit zeros included: minimum degree
+    orders the thinner pattern of ``A + 1j * B`` into a slower factor."""
+    n_e = stiffness.shape[0] // 2
+    free = np.flatnonzero(~mask)
+    edges = free[:len(free) // 2]
+    a = stiffness[edges][:, edges]
+    b = stiffness[edges + n_e][:, edges]
+    lu = _splu(csr_matrix((a.data + 1j * b.data, a.indices, a.indptr),
+                          shape=a.shape).tocsc(), "MMD_AT_PLUS_A")
+
+    def solve(rhs):
+        z = lu.solve(rhs[:len(edges)] + 1j * rhs[len(edges):])
+        return np.concatenate([z.real, z.imag])
+    return solve, (stiffness @ np.where(mask, values, 0.0))[free]
 
 
 def _project(x):
@@ -481,29 +514,36 @@ def _project(x):
 def _warm_start(disc, mask, cvalues, blocks, epsilon, options):
     """Renormalised smoothing-only field, the 2-norm of its energy gradient
     over the free dofs, and a copy of ``perm_c`` of the factor of the
-    stiffness's free block (``blocks``, in dof order) that computed it.
+    stiffness's free block (``blocks``, in dof order) that computed it; or,
+    with ``blocks`` None, the field from the factor of ``_factor_hermitian``
+    and no ordering.
 
     Unless that gradient is at ``options.tol``, ``WARMUP_ROUNDS``
     smooth-and-renormalise sweeps through the same factor let the field's
     zeros settle before the penalty freezes them, and the gradient is tested
     again.  A minimum-degree ordering reads only the pattern, which every
-    system of the solve shares, so this factor's ordering serves them all.
+    system of the solve shares, so a real factor's ordering serves them all.
     """
-    free = blocks.dofs
+    free = np.flatnonzero(~mask)
     x = cvalues.copy()
-    lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
-    x[free] = lu.solve(-bound)
+    if blocks is None:
+        solve, bound = _factor_hermitian(disc.stiffness, mask, cvalues)
+        perm_c = None
+    else:
+        lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
+        # lu.perm_c is a view that keeps the whole factor alive
+        solve, perm_c = lu.solve, lu.perm_c.copy()
+    x[free] = solve(-bound)
     _project(x)
     # summed in dof order: a permuted vector's norm rounds differently
     residual = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
     if not residual <= options.tol:
         m_diag = disc.lumped_mass()
         for _ in range(WARMUP_ROUNDS):
-            x[free] = lu.solve((m_diag * x)[free] - bound)
+            x[free] = solve((m_diag * x)[free] - bound)
             _project(x)
         residual = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
-    # lu.perm_c is a view that keeps the whole factor alive
-    return x, residual, lu.perm_c.copy()
+    return x, residual, perm_c
 
 
 def newton_solve(mesh, order=4, options=None):
@@ -513,7 +553,7 @@ def newton_solve(mesh, order=4, options=None):
     norms (see ``_warm_start``).  The 2-norm of the exact energy gradient
     over the free dofs is tested before each step, and assembled Newton
     steps run until it drops to ``tol``, so a stationary start takes no
-    step and never renumbers the free blocks for one.  A step whose
+    step and never builds or renumbers free blocks for one.  A step whose
     infinity norm exceeds ``STEP_CAP`` is scaled down to it.  An energy
     increase between steps is logged as a warning but does not abort;
     exceeding ``max_iter`` returns with ``converged=False``; an exactly
@@ -539,8 +579,10 @@ def newton_solve(mesh, order=4, options=None):
         raise ValueError(f"symmetry order {order} is odd, and a mesh with "
                          "boundary needs an even order")
     mask, cvalues, pinned = constraint_dofs(mesh, options)
-    # every system of the solve has the stiffness's pattern
-    blocks = _free_blocks(disc.stiffness, mask)
+    # A closed surface's Newton path is chaotic, and any change in the warm
+    # start's last bits redraws it, so only a mesh with boundary takes the
+    # Hermitian factor; a closed surface's real factor orders its solve
+    blocks = None if pinned is None else _free_blocks(disc.stiffness, mask)
     x, residual, perm_c = _warm_start(disc, mask, cvalues, blocks, epsilon, options)
     free = ~mask
     residuals = [residual]
@@ -548,10 +590,15 @@ def newton_solve(mesh, order=4, options=None):
     prev_energy = None
     # a NaN gradient is never converged: it steps on until the budget ends
     while not (converged := residuals[-1] <= options.tol) and steps < options.max_iter:
-        if not steps:
+        # the solve's first real factor orders every later one
+        if blocks is None:
+            blocks = _free_blocks(disc.stiffness, mask)
+        elif blocks.permc_spec != "NATURAL":
             blocks = _in_elimination_order(blocks, perm_c)
         matrix, rhs = disc.newton_system(x, epsilon)
         lu, bound = _factor_free(matrix, mask, cvalues, blocks)
+        if blocks.permc_spec != "NATURAL":
+            perm_c = lu.perm_c.copy()
         step = lu.solve(rhs[blocks.dofs] - bound) - x[blocks.dofs]
         # drop the factor before the next one is built: with two alive at
         # once the heap fragments and the peak memory grows every step

@@ -414,6 +414,25 @@ def test_singular_newton_system_exits_4(capsys, square_off, monkeypatch):
     assert "singular" in err
 
 
+def test_singular_real_warm_start_exits_4(capsys, octa_off, monkeypatch):
+    """The closed-surface twin of the test above: a closed surface's warm
+    start factors the real stiffness block, a bounded one's the complex
+    Hermitian block, and an exactly zero pivot in either exits 4."""
+    kinds = []
+
+    def singular(block, *args, **kwargs):
+        kinds.append(block.dtype.kind)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(crossfield.solver, "splu", singular)
+    code, out, err = run_cli(capsys, "solve", "--mesh", str(octa_off),
+                             "--epsilon", "0.5")
+    assert code == 4
+    assert out == ""
+    assert "singular" in err
+    assert kinds == ["f"]
+
+
 @pytest.mark.parametrize("epsilon", ["1e155", "1e200", "inf", "nan", "1e-160",
                                      "1e-170"])
 def test_unrepresentable_epsilon_exits_2(capsys, square_off, tmp_path, epsilon):

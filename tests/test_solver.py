@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix, csr_matrix, diags
-from scipy.sparse.linalg import SuperLU
+from scipy.sparse.linalg import SuperLU, splu
 
 from crossfield import (CR_GRADIENTS, Discretization, EnergyBreakdown,
                         FieldSolution,
@@ -21,9 +21,9 @@ from crossfield import (CR_GRADIENTS, Discretization, EnergyBreakdown,
 from crossfield import solver as solver_module
 from crossfield.frames import TriangleFrames
 from crossfield.mesh import boundary_loops
-from crossfield.solver import (WARMUP_ROUNDS, _factor_free, _free_blocks,
-                               _gather, _in_elimination_order, _project,
-                               _warm_start)
+from crossfield.solver import (WARMUP_ROUNDS, _factor_free,
+                               _factor_hermitian, _free_blocks, _gather,
+                               _in_elimination_order, _project, _warm_start)
 
 import meshes
 
@@ -260,19 +260,25 @@ def test_solve_call_structure(monkeypatch):
     tests, after the first projection and after the sweeps; one quadrature
     of each iterate, shared by its residual, energy and Newton system.  A
     stationary first projection ends the solve at one factor, one gradient
-    and no Newton system."""
+    and no Newton system.
+
+    The solve's first real factor orders it: the warm start's on a closed
+    surface, the first Newton step's on a mesh with boundary, whose warm
+    start factors the complex Hermitian block.  The free blocks are built
+    once, for that factor, and renumbered once, before the next one."""
     from crossfield import solver
 
     calls = _count_calls(monkeypatch, [
         (Discretization, "newton_system"), (Discretization, "residual"),
         (Discretization, "energy"), (Discretization, "_quadrature"),
-        (solver, "splu")])
+        (solver, "splu"), (solver, "_free_blocks"),
+        (solver, "_in_elimination_order")])
     orderings = []
     splu = solver.splu
 
-    def ordering_recorded(*args, permc_spec, **kwargs):
-        orderings.append(permc_spec)
-        return splu(*args, permc_spec=permc_spec, **kwargs)
+    def ordering_recorded(block, *args, permc_spec, **kwargs):
+        orderings.append((permc_spec, block.dtype.kind))
+        return splu(block, *args, permc_spec=permc_spec, **kwargs)
     monkeypatch.setattr(solver, "splu", ordering_recorded)
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
     field, log = newton_solve(mesh, 4, NewtonOptions(epsilon=0.3, tol=1e-12))
@@ -280,9 +286,25 @@ def test_solve_call_structure(monkeypatch):
     assert log.converged and steps > 2
     assert calls == {"newton_system": steps, "residual": steps + 2,
                      "energy": steps, "_quadrature": steps + 2,
-                     "splu": steps + 1}
+                     "splu": steps + 1, "_free_blocks": 1,
+                     "_in_elimination_order": 1}
     # the warm start's factor computes the solve's only ordering
-    assert orderings == ["MMD_AT_PLUS_A"] + ["NATURAL"] * steps
+    assert orderings == ([("MMD_AT_PLUS_A", "f")]
+                         + [("NATURAL", "f")] * steps)
+
+    calls.clear()
+    orderings.clear()
+    mesh = meshes.surface(meshes.disk_hex, 6)
+    field, log = newton_solve(mesh, 4, NewtonOptions(tol=1e-12))
+    steps = log.iterations
+    assert log.converged and steps > 2
+    assert calls == {"newton_system": steps, "residual": steps + 2,
+                     "energy": steps, "_quadrature": steps + 2,
+                     "splu": steps + 1, "_free_blocks": 1,
+                     "_in_elimination_order": 1}
+    assert [spec for spec, _ in orderings] == (
+        ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"] + ["NATURAL"] * (steps - 1))
+    assert [kind for _, kind in orderings] == ["c"] + ["f"] * steps
 
     calls.clear()
     orderings.clear()
@@ -290,7 +312,7 @@ def test_solve_call_structure(monkeypatch):
     field, log = newton_solve(mesh, 4, NewtonOptions(tol=1e-12))
     assert log.converged and log.iterations == 0
     assert calls == {"residual": 1, "_quadrature": 1, "splu": 1}
-    assert orderings == ["MMD_AT_PLUS_A"]
+    assert orderings == [("MMD_AT_PLUS_A", "c")]
 
 
 # -- energies and gradients ---------------------------------------------------
@@ -430,12 +452,44 @@ def _solve_counting_factors(monkeypatch, mesh, options):
     return field, log, len(calls)
 
 
+def hermitian_warm_start(disc, mask, cvalues, epsilon, rounds):
+    """The warm start of a mesh with boundary, kept here as a reference
+    loop: ``H = A + iB`` read off the stiffness ``[[A, -B], [B, A]]`` on its
+    stored pattern, its free/free block factored with minimum degree and
+    diagonal pivots, one solve for ``z = f1 + i*f2`` and ``rounds``
+    lumped-mass sweeps, each projected.  Returns the field and the 2-norm of
+    its energy gradient over the free dofs."""
+    n_e = disc.mesh.n_edges
+    stiffness = disc.stiffness
+    a, b = stiffness[:n_e, :n_e], stiffness[n_e:, :n_e]
+    h = csr_matrix((a.data + 1j * b.data, a.indices, a.indptr), shape=a.shape)
+    free = np.flatnonzero(~mask)
+    edges = free[:len(free) // 2]
+    lu = splu(h[edges][:, edges].tocsc(), permc_spec="MMD_AT_PLUS_A",
+              diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    bound = (stiffness @ cvalues)[free]
+
+    def solve(rhs):
+        z = lu.solve(rhs[:len(edges)] + 1j * rhs[len(edges):])
+        return np.concatenate([z.real, z.imag])
+    x = cvalues.copy()
+    x[free] = solve(-bound)
+    _project(x)
+    m_diag = disc.lumped_mass()
+    for _ in range(rounds):
+        x[free] = solve((m_diag * x)[free] - bound)
+        _project(x)
+    return x, float(np.linalg.norm(disc.residual(x, epsilon)[free]))
+
+
 @pytest.mark.parametrize("generator, n", [(meshes.lshape_tri, 6),
                                           (meshes.square_grid_tri, 8)],
                          ids=["lshape", "square"])
 def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
     """An aligned N = 4 field on an axis-aligned polygon is the warm start
-    itself: the gradient test passes before any Newton system is built."""
+    itself: the gradient test passes before any Newton system is built.
+    The one factor is the Hermitian block's, and the field is within
+    rounding of the real factor's."""
     mesh = meshes.surface(generator, n)
     options = NewtonOptions(tol=1e-12)
     field, log, factors = _solve_counting_factors(monkeypatch, mesh, options)
@@ -444,11 +498,14 @@ def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
     assert factors == 1
     disc = Discretization(mesh, 4)
     mask, cvalues, _ = constraint_dofs(mesh, options)
-    x, residual, _ = _warm_start(disc, mask, cvalues,
-                                 _free_blocks(disc.stiffness, mask),
-                                 options.resolve_epsilon(mesh), options)
+    epsilon = options.resolve_epsilon(mesh)
+    x, residual = hermitian_warm_start(disc, mask, cvalues, epsilon, 0)
     assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
     assert log.residuals == (residual,)
+    real, _, _ = _warm_start(disc, mask, cvalues,
+                             _free_blocks(disc.stiffness, mask), epsilon,
+                             options)
+    assert np.abs(x - real).max() <= 1e-13
 
 
 @pytest.mark.parametrize("generator, n", [(meshes.lshape_tri, 6),
@@ -456,27 +513,116 @@ def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
                          ids=["lshape", "square"])
 def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
     """A stationary first projection ends the warm start: no sweep, no
-    lumped mass, and no free blocks renumbered for a step that never
-    comes.  The field is one solve of the factored stiffness, projected."""
+    lumped mass, and no free blocks built or renumbered for a step that
+    never comes.  The field is one solve of the factored Hermitian block,
+    projected, and within rounding of one solve of the real block."""
     mesh = meshes.surface(generator, n)
     options = NewtonOptions(tol=1e-12)
     calls = _count_calls(monkeypatch, [
         (solver_module, "_project"), (solver_module, "_in_elimination_order"),
-        (Discretization, "lumped_mass")])
+        (solver_module, "_free_blocks"), (Discretization, "lumped_mass")])
     field, log = newton_solve(mesh, 4, options)
     assert log.converged and log.iterations == 0
     assert calls == {"_project": 1}
+    monkeypatch.undo()
 
     disc = Discretization(mesh, 4)
     mask, cvalues, _ = constraint_dofs(mesh, options)
+    x, residual = hermitian_warm_start(disc, mask, cvalues,
+                                       options.resolve_epsilon(mesh), 0)
+    assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
+    assert log.residuals == (residual,)
     blocks = _free_blocks(disc.stiffness, mask)
     lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
-    x = cvalues.copy()
-    x[blocks.dofs] = lu.solve(-bound)
-    _project(x)
-    assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
-    gradient = disc.residual(x, options.resolve_epsilon(mesh))[~mask]
-    assert log.residuals == (float(np.linalg.norm(gradient)),)
+    real = cvalues.copy()
+    real[blocks.dofs] = lu.solve(-bound)
+    _project(real)
+    assert np.abs(x - real).max() <= 1e-13
+
+
+def test_bounded_warm_start_sweeps_match_the_hermitian_reference(monkeypatch):
+    """Without real free blocks the warm start factors the Hermitian block:
+    a start far from stationary runs every sweep through it with the bits of
+    the reference loop, builds no free blocks and hands back no ordering.
+    Ten projected sweeps keep the field within 1e-11 of the real factor's."""
+    mesh = meshes.surface(meshes.disk_hex, 8)
+    disc = Discretization(mesh, 4)
+    options = NewtonOptions(epsilon=0.3)
+    mask, cvalues, _ = constraint_dofs(mesh, options)
+    calls = _count_calls(monkeypatch, [(Discretization, "lumped_mass"),
+                                       (solver_module, "_project"),
+                                       (solver_module, "_free_blocks")])
+    x, residual, perm_c = _warm_start(disc, mask, cvalues, None, 0.3, options)
+    assert calls == {"lumped_mass": 1, "_project": WARMUP_ROUNDS + 1}
+    assert perm_c is None
+    monkeypatch.undo()
+
+    assert hermitian_warm_start(disc, mask, cvalues, 0.3, 0)[1] > 1.0
+    ref, ref_residual = hermitian_warm_start(disc, mask, cvalues, 0.3,
+                                             WARMUP_ROUNDS)
+    assert x.tobytes() == ref.tobytes()
+    assert residual == ref_residual
+    real, _, _ = _warm_start(disc, mask, cvalues,
+                             _free_blocks(disc.stiffness, mask), 0.3, options)
+    assert np.abs(x - real).max() <= 1e-11
+
+
+#: Mesh families by name: vertices and triangles from a size ``k`` in 2..6
+#: and a seed.
+STIFFNESS_FAMILIES = {
+    "sphere": lambda k, seed: meshes.golden_spiral_sphere(20 * k),
+    "lshape": lambda k, seed: meshes.lshape_tri(k),
+    "square": lambda k, seed: meshes.square_grid_tri(k),
+    "disk": lambda k, seed: meshes.disk_hex(k),
+    "delaunay": lambda k, seed: meshes.random_planar_delaunay(8 * k, seed),
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(STIFFNESS_FAMILIES)), k=st.integers(2, 6),
+       seed=st.integers(0, 2**16), order=st.sampled_from([4, 6]))
+def test_stiffness_is_the_hermitian_edge_laplacian(name, k, seed, order):
+    """The stiffness is ``[[A, -B], [B, A]]`` on one stored pattern: its
+    diagonal blocks are equal bit for bit and its upper-right block is the
+    negated lower-left one value for value (zeros may differ in sign).  So
+    ``H = A + iB`` is the same operator on half the unknowns, and the block
+    that the warm start factors keeps the pattern's entries, explicit zeros
+    included, which SciPy's ``A + 1j * B`` would drop."""
+    mesh = SurfaceMesh(*STIFFNESS_FAMILIES[name](k, seed))
+    stiffness = Discretization(mesh, order).stiffness
+    n_e = mesh.n_edges
+    a, minus_b = stiffness[:n_e, :n_e], stiffness[:n_e, n_e:]
+    b, d = stiffness[n_e:, :n_e], stiffness[n_e:, n_e:]
+    for block in (minus_b, b, d):
+        assert np.array_equal(block.indptr, a.indptr)
+        assert np.array_equal(block.indices, a.indices)
+    assert a.data.tobytes() == d.data.tobytes()
+    assert np.array_equal(minus_b.data, -b.data)
+
+    mask, values, _ = constraint_dofs(mesh, NewtonOptions(rng_seed=seed))
+    factored = []
+    original = solver_module.splu
+
+    def recorded(block, *args, **kwargs):
+        factored.append(block)
+        return original(block, *args, **kwargs)
+    solver_module.splu = recorded
+    try:
+        solve, bound = _factor_hermitian(stiffness, mask, values)
+    finally:
+        solver_module.splu = original
+    edges = np.flatnonzero(~mask[:n_e])
+    [block] = factored
+    assert block.dtype == complex and block.nnz == a[edges][:, edges].nnz
+    if name == "lshape":  # right triangles give entries zero in A and B
+        assert (a + 1j * b)[edges][:, edges].nnz < block.nnz
+
+    free = ~mask
+    reduced = stiffness[free][:, free]
+    assert np.array_equal(bound, stiffness[free][:, mask] @ values[mask])
+    rhs = np.random.default_rng(seed).normal(size=reduced.shape[0])
+    assert (np.linalg.norm(reduced @ solve(rhs) - rhs)
+            <= 1e-10 * np.linalg.norm(rhs))
 
 
 @pytest.mark.parametrize("rounds", [WARMUP_ROUNDS])
