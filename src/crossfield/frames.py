@@ -87,16 +87,22 @@ class TriangleFrames:
         k[:, 3:, 3:] = pss + qsc + qcs + vcc
         return k
 
-    def diagonal_blocks_to_edges(self, s):
-        """``blocks_to_edges(s, 0.0, s)`` without the products of its zero
-        block, which changes only the signs of exact zeros."""
+    def hermitian_blocks(self, s):
+        """``blocks_to_edges(s, 0.0, s)`` as ``[[a, u], [b, a]]`` without the
+        products of its zero block: the complex blocks ``a + i*b``, (T, 3,
+        3), which act on ``z = f1 + i*f2`` as the rotation acts on ``(f1,
+        f2)``, and the upper-right blocks ``u``.  Each corner product is
+        formed once; ``u`` is ``-b`` but for the signs of exact zeros."""
         left_c, left_s = self.cos[:, :, None] * s, self.sin[:, :, None] * s
         cj, sj = self.cos[:, None, :], self.sin[:, None, :]
-        k = np.empty((len(self.cos), 6, 6))
-        k[:, :3, :3] = k[:, 3:, 3:] = left_c * cj + left_s * sj
-        k[:, :3, 3:] = left_c * sj - left_s * cj
-        k[:, 3:, :3] = left_s * cj - left_c * sj
-        return k
+        cs, sc = left_c * sj, left_s * cj
+        # a product read once is formed in place: fresh pages cost more
+        # than the arithmetic
+        h = np.empty(s.shape, dtype=complex)
+        np.add(np.multiply(left_c, cj, out=left_c),
+               np.multiply(left_s, sj, out=left_s), out=h.real)
+        np.subtract(sc, cs, out=h.imag)
+        return h, np.subtract(cs, sc, out=cs)
 
 
 def _normalize(v, what, tol=1e-14):

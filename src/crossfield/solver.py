@@ -21,10 +21,11 @@ The nonlinear solve starts from the renormalised smoothing-only solution,
 sharpened, unless it is stationary already, by a few smooth-and-renormalise
 sweeps that let the vortex structure settle.  In edge frames the stiffness
 is ``[[A, -B], [B, A]]``: on ``z = f1 + i*f2`` it is the Hermitian edge
-Laplacian ``H = A + iB`` (Knoeppel et al. 2013), whose factor a mesh with
-boundary takes for its warm start, at a quarter of the fill; a closed
-surface keeps the real factor, since its chaotic Newton path moves with the
-start's last bits.  Newton steps follow, built from the exact second
+Laplacian ``H = A + iB`` (Knoeppel et al. 2013), the one assembly, from
+which the real stiffness is derived on first use.  A mesh with boundary
+takes the factor of ``H`` for its warm start, at a quarter of the fill; a
+closed surface keeps the real factor, since its chaotic Newton path moves
+with the start's last bits.  Newton steps follow, built from the exact second
 derivative of the energy (real: its penalty curvature acts on the conjugate
 of ``z`` too).  Each factors the symmetric free-dof Hessian once, with
 pivots taken on the diagonal and the fill-reducing ordering of the solve's
@@ -43,7 +44,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix, csr_matrix
+from scipy.sparse import bmat, coo_matrix, csc_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg import spsolve  # unused here; perfbench/tracing.py wraps it
 
@@ -272,30 +273,51 @@ class Discretization:
         return out
 
     def _entries(self):
-        """Row and column dofs of the entries of the (T, 6, 6) element
-        matrices, in their memory order."""
-        return (np.repeat(self.tri_dofs, 6, axis=1).ravel(),
-                np.tile(self.tri_dofs, (1, 6)).ravel())
+        """Row and column edges of the entries of the (T, 3, 3) element
+        blocks, in their memory order."""
+        edges = self.mesh.facet_edges
+        return np.repeat(edges, 3, axis=1).ravel(), np.tile(edges, (1, 3)).ravel()
+
+    def _assembled(self, blocks):
+        """The (T, 3, 3) element ``blocks`` assembled over the edges (CSR).
+        An entry sums at most two contributions (an edge has at most two
+        facets), to the same bits in either order, and every assembly has
+        one pattern, explicit zeros included."""
+        n_e = self.mesh.n_edges
+        return coo_matrix((blocks.ravel(), self._entries()),
+                          shape=(n_e, n_e)).tocsr()
+
+    @cached_property
+    def hermitian(self):
+        """The stiffness ``[[A, -B], [B, A]]`` as the Hermitian edge
+        Laplacian ``H = A + iB`` (CSR), which acts on ``z = f1 + i*f2``;
+        built on first use."""
+        h, _ = self.tri_frames.hermitian_blocks(self.stiffness_blocks)
+        return self._assembled(h)
 
     @cached_property
     def stiffness(self):
-        """Global stiffness matrix (CSR), built on first use: the energy
-        alone never reads it.  This one COO assembly fixes the pattern of
-        every later system."""
-        k = self.tri_frames.diagonal_blocks_to_edges(self.stiffness_blocks)
-        return coo_matrix((k.ravel(), self._entries()),
-                          shape=(self.n_dofs, self.n_dofs)).tocsr()
+        """The real stiffness (CSR), built on first use from ``hermitian``;
+        every Newton system has its pattern.  Its upper-right block sums its
+        own corner products, which keeps the signs of its zeros."""
+        h = self.hermitian
+        _, u = self.tri_frames.hermitian_blocks(self.stiffness_blocks)
+        a, b, u = (csr_matrix((data, h.indices, h.indptr), shape=h.shape)
+                   for data in (h.data.real, h.data.imag, self._assembled(u).data))
+        return bmat([[a, u], [b, a]], format="csr")
 
     @cached_property
     def _slots(self):
         """Position in ``stiffness.data`` of every entry of the (T, 6, 6)
-        element matrices, found on the first Newton system.
-
-        No entry gets more than two contributions (an edge has at most two
-        facets), and the sum of two floats does not depend on their order,
-        so adding them per slot, from -0.0 (which leaves every float as it
-        is, zeros' signs included), gives the bits of COO assembly."""
-        return np.asarray(_positions(self.stiffness)[self._entries()]).ravel()
+        element matrices: row ``r`` of ``hermitian``, at ``H.data[i:j]``,
+        fills rows ``r`` and ``n_edges + r`` of the stiffness twice each,
+        from ``2 * i`` and from ``2 * (H.nnz + i)``."""
+        h = self.hermitian
+        rows = self.mesh.facet_edges[:, :, None]
+        left = h.indptr[rows] + np.asarray(
+            _positions(h)[self._entries()]).reshape(-1, 3, 3)
+        right, lower = left + np.diff(h.indptr)[rows], 2 * h.nnz
+        return np.block([[left, right], [left + lower, right + lower]]).ravel()
 
     def _matrix(self, p, q, v):
         """Assemble the global CSR matrix of the shared-frame element
@@ -342,8 +364,10 @@ class Discretization:
         """Exact gradient of the discrete energy with respect to ``x``."""
         _, f1, f2, aw = self._quadrature_once(x, epsilon)
         deficit = f1 * f1 + f2 * f2 - 1.0
-        return self._scatter(self.stiffness @ x, aw * deficit * f1,
-                             aw * deficit * f2)
+        n_e = self.mesh.n_edges
+        smoothing = self.hermitian @ (x[:n_e] + 1j * x[n_e:])
+        return self._scatter(np.concatenate([smoothing.real, smoothing.imag]),
+                             aw * deficit * f1, aw * deficit * f2)
 
     def energy(self, x, epsilon):
         """Smoothing and penalty parts of the discrete energy at ``x``."""
@@ -478,25 +502,26 @@ def _factor_free(matrix, mask, values, blocks=None):
     return _splu(reduced, blocks.permc_spec), bound
 
 
-def _factor_hermitian(stiffness, mask, values):
+def _factor_hermitian(hermitian, mask, values):
     """The pair of ``lu.solve`` and bound that ``_factor_free`` gives for
     the stiffness ``[[A, -B], [B, A]]``, over the free dofs in dof order,
-    from the LU factors of ``H = A + iB`` over the free edges, which acts on
-    ``z = f1 + i*f2`` as the stiffness acts on ``(f1, f2)``.  ``H`` keeps the
-    stiffness's stored pattern, explicit zeros included: minimum degree
-    orders the thinner pattern of ``A + 1j * B`` into a slower factor."""
-    n_e = stiffness.shape[0] // 2
+    from the LU factors of the free/free block of ``hermitian``, ``H = A +
+    iB``, which acts on ``z = f1 + i*f2`` as the stiffness acts on ``(f1,
+    f2)``, and from ``H_fc @ z_c``.  The block keeps ``H``'s pattern,
+    explicit zeros included: minimum degree orders the thinner pattern of
+    ``A + 1j * B`` into a slower factor."""
+    n_e = hermitian.shape[0]
     free = np.flatnonzero(~mask)
     edges = free[:len(free) // 2]
-    a = stiffness[edges][:, edges]
-    b = stiffness[edges + n_e][:, edges]
-    lu = _splu(csr_matrix((a.data + 1j * b.data, a.indices, a.indptr),
-                          shape=a.shape).tocsc(), "MMD_AT_PLUS_A")
+    rows = hermitian[edges]
+    lu = _splu(rows[:, edges].tocsc(), "MMD_AT_PLUS_A")
+    fixed = np.where(mask, values, 0.0)
+    bound = rows @ (fixed[:n_e] + 1j * fixed[n_e:])
 
     def solve(rhs):
         z = lu.solve(rhs[:len(edges)] + 1j * rhs[len(edges):])
         return np.concatenate([z.real, z.imag])
-    return solve, (stiffness @ np.where(mask, values, 0.0))[free]
+    return solve, np.concatenate([bound.real, bound.imag])
 
 
 def _project(x):
@@ -527,7 +552,7 @@ def _warm_start(disc, mask, cvalues, blocks, epsilon, options):
     free = np.flatnonzero(~mask)
     x = cvalues.copy()
     if blocks is None:
-        solve, bound = _factor_hermitian(disc.stiffness, mask, cvalues)
+        solve, bound = _factor_hermitian(disc.hermitian, mask, cvalues)
         perm_c = None
     else:
         lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)

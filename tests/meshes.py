@@ -41,6 +41,14 @@ def square_grid_tri(n, size=1.0):
     return verts, np.array(tris)
 
 
+def saddle_tri(n):
+    """``square_grid_tri(n)`` lifted onto the saddle
+    ``z = 0.3 * ((x - 1/2)^2 - (y - 1/2)^2)``: a curved mesh with boundary."""
+    verts, tris = square_grid_tri(n)
+    verts[:, 2] = 0.3 * ((verts[:, 0] - 0.5) ** 2 - (verts[:, 1] - 0.5) ** 2)
+    return verts, tris
+
+
 def square_grid_quads(n, size=1.0):
     xs = np.linspace(0.0, size, n + 1)
     verts = np.array([[x, y, 0.0] for x in xs for y in xs])

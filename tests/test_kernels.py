@@ -136,6 +136,7 @@ FAMILIES = {
     "delaunay": lambda k, seed: meshes.random_planar_delaunay(8 * k, seed),
     "lshape": lambda k, seed: meshes.lshape_tri(k),
     "disk": lambda k, seed: meshes.disk_hex(k),
+    "saddle": lambda k, seed: meshes.saddle_tri(k),
 }
 
 

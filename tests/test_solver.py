@@ -1,7 +1,7 @@
 import logging
 import re
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -542,29 +542,34 @@ def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
 
 def test_bounded_warm_start_sweeps_match_the_hermitian_reference(monkeypatch):
     """Without real free blocks the warm start factors the Hermitian block:
-    a start far from stationary runs every sweep through it with the bits of
-    the reference loop, builds no free blocks and hands back no ordering.
-    Ten projected sweeps keep the field within 1e-11 of the real factor's."""
-    mesh = meshes.surface(meshes.disk_hex, 8)
-    disc = Discretization(mesh, 4)
-    options = NewtonOptions(epsilon=0.3)
-    mask, cvalues, _ = constraint_dofs(mesh, options)
-    calls = _count_calls(monkeypatch, [(Discretization, "lumped_mass"),
-                                       (solver_module, "_project"),
-                                       (solver_module, "_free_blocks")])
-    x, residual, perm_c = _warm_start(disc, mask, cvalues, None, 0.3, options)
-    assert calls == {"lumped_mass": 1, "_project": WARMUP_ROUNDS + 1}
-    assert perm_c is None
-    monkeypatch.undo()
+    a start far from stationary (a first gradient above ``far``) runs every
+    sweep through it with the bits of the reference loop, builds no free
+    blocks and hands back no ordering.  Ten projected sweeps keep the field
+    within 1e-11 of the real factor's, on the flat disk and on the curved
+    saddle."""
+    for generator, far in ((meshes.disk_hex, 1.0), (meshes.saddle_tri, 1e-2)):
+        mesh = meshes.surface(generator, 8)
+        disc = Discretization(mesh, 4)
+        options = NewtonOptions(epsilon=0.3)
+        mask, cvalues, _ = constraint_dofs(mesh, options)
+        calls = _count_calls(monkeypatch, [(Discretization, "lumped_mass"),
+                                           (solver_module, "_project"),
+                                           (solver_module, "_free_blocks")])
+        x, residual, perm_c = _warm_start(disc, mask, cvalues, None, 0.3,
+                                          options)
+        assert calls == {"lumped_mass": 1, "_project": WARMUP_ROUNDS + 1}
+        assert perm_c is None
+        monkeypatch.undo()
 
-    assert hermitian_warm_start(disc, mask, cvalues, 0.3, 0)[1] > 1.0
-    ref, ref_residual = hermitian_warm_start(disc, mask, cvalues, 0.3,
-                                             WARMUP_ROUNDS)
-    assert x.tobytes() == ref.tobytes()
-    assert residual == ref_residual
-    real, _, _ = _warm_start(disc, mask, cvalues,
-                             _free_blocks(disc.stiffness, mask), 0.3, options)
-    assert np.abs(x - real).max() <= 1e-11
+        assert hermitian_warm_start(disc, mask, cvalues, 0.3, 0)[1] > far
+        ref, ref_residual = hermitian_warm_start(disc, mask, cvalues, 0.3,
+                                                 WARMUP_ROUNDS)
+        assert x.tobytes() == ref.tobytes()
+        assert residual == ref_residual
+        real, _, _ = _warm_start(disc, mask, cvalues,
+                                 _free_blocks(disc.stiffness, mask), 0.3,
+                                 options)
+        assert np.abs(x - real).max() <= 1e-11
 
 
 #: Mesh families by name: vertices and triangles from a size ``k`` in 2..6
@@ -575,6 +580,7 @@ STIFFNESS_FAMILIES = {
     "square": lambda k, seed: meshes.square_grid_tri(k),
     "disk": lambda k, seed: meshes.disk_hex(k),
     "delaunay": lambda k, seed: meshes.random_planar_delaunay(8 * k, seed),
+    "saddle": lambda k, seed: meshes.saddle_tri(k),
 }
 
 
@@ -585,19 +591,26 @@ def test_stiffness_is_the_hermitian_edge_laplacian(name, k, seed, order):
     """The stiffness is ``[[A, -B], [B, A]]`` on one stored pattern: its
     diagonal blocks are equal bit for bit and its upper-right block is the
     negated lower-left one value for value (zeros may differ in sign).  So
-    ``H = A + iB`` is the same operator on half the unknowns, and the block
-    that the warm start factors keeps the pattern's entries, explicit zeros
-    included, which SciPy's ``A + 1j * B`` would drop."""
+    ``H = A + iB`` is the same operator on half the unknowns.  The directly
+    assembled ``hermitian`` has ``A``'s pattern and the bits of ``A`` and
+    ``B``, signs of zero included, and the block that the warm start
+    factors keeps the pattern's entries, explicit zeros included, which
+    SciPy's ``A + 1j * B`` would drop."""
     mesh = SurfaceMesh(*STIFFNESS_FAMILIES[name](k, seed))
-    stiffness = Discretization(mesh, order).stiffness
+    disc = Discretization(mesh, order)
+    hermitian, stiffness = disc.hermitian, disc.stiffness
     n_e = mesh.n_edges
     a, minus_b = stiffness[:n_e, :n_e], stiffness[:n_e, n_e:]
     b, d = stiffness[n_e:, :n_e], stiffness[n_e:, n_e:]
-    for block in (minus_b, b, d):
+    for block in (minus_b, b, d, hermitian):
         assert np.array_equal(block.indptr, a.indptr)
         assert np.array_equal(block.indices, a.indices)
     assert a.data.tobytes() == d.data.tobytes()
     assert np.array_equal(minus_b.data, -b.data)
+    for got, want in ((hermitian.data.real, a.data),
+                      (hermitian.data.imag, b.data)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     mask, values, _ = constraint_dofs(mesh, NewtonOptions(rng_seed=seed))
     factored = []
@@ -608,7 +621,7 @@ def test_stiffness_is_the_hermitian_edge_laplacian(name, k, seed, order):
         return original(block, *args, **kwargs)
     solver_module.splu = recorded
     try:
-        solve, bound = _factor_hermitian(stiffness, mask, values)
+        solve, bound = _factor_hermitian(hermitian, mask, values)
     finally:
         solver_module.splu = original
     edges = np.flatnonzero(~mask[:n_e])
@@ -623,6 +636,32 @@ def test_stiffness_is_the_hermitian_edge_laplacian(name, k, seed, order):
     rhs = np.random.default_rng(seed).normal(size=reduced.shape[0])
     assert (np.linalg.norm(reduced @ solve(rhs) - rhs)
             <= 1e-10 * np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("generator, n, builds", [
+    (meshes.lshape_tri, 6, 0), (meshes.square_grid_tri, 8, 0),
+    (meshes.saddle_tri, 4, 1), (meshes.disk_hex, 6, 1),
+    (meshes.golden_spiral_sphere, 300, 1)],
+    ids=["lshape", "square", "saddle", "disk", "sphere"])
+def test_real_stiffness_is_built_only_for_a_real_factor(
+        monkeypatch, generator, n, builds):
+    """A bounded solve that takes no Newton step reads only the Hermitian
+    edge Laplacian, for its warm start's factor and for its gradient
+    ``H z``, so it never builds the real stiffness.  A solve that steps, and
+    a closed surface's real warm-start factor, build it once, from ``H``."""
+    built = []
+
+    class Recorded(Discretization):
+        @cached_property
+        def stiffness(self):
+            built.append(self)
+            return super().stiffness
+
+    monkeypatch.setattr(solver_module, "Discretization", Recorded)
+    field, log = newton_solve(meshes.surface(generator, n), 4,
+                              NewtonOptions(tol=1e-12))
+    assert log.converged and (log.iterations == 0) == (builds == 0)
+    assert len(built) == builds
 
 
 @pytest.mark.parametrize("rounds", [WARMUP_ROUNDS])
@@ -1012,7 +1051,9 @@ def test_energy_builds_no_stiffness(monkeypatch):
 
     monkeypatch.setattr(solver_module, "Discretization", Recorded)
     lazy = gl_energy(mesh, field)
-    assert len(built) == 1 and "stiffness" not in vars(built[0])
+    assert len(built) == 1
+    assert "stiffness" not in vars(built[0])
+    assert "hermitian" not in vars(built[0])
     eager = Discretization(mesh, 4)
     assert eager.stiffness.nnz > 0 and "stiffness" in vars(eager)
     x = eager.vector_from_values(field.values)
