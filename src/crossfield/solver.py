@@ -21,11 +21,12 @@ The nonlinear solve starts from the renormalised smoothing-only solution,
 sharpened, unless it is stationary already, by a few smooth-and-renormalise
 sweeps that let the vortex structure settle.  In edge frames the stiffness
 is ``[[A, -B], [B, A]]``: on ``z = f1 + i*f2`` it is the Hermitian edge
-Laplacian ``H = A + iB`` (Knoeppel et al. 2013), the one assembly, from
-which the real stiffness is derived on first use.  A mesh with boundary
-takes the factor of ``H`` for its warm start, at a quarter of the fill; a
-closed surface keeps the real factor, since its chaotic Newton path moves
-with the start's last bits.  Newton steps follow, built from the exact second
+Laplacian ``H = A + iB`` (Knoeppel et al. 2013).  Every real matrix is
+assembled into one pattern, ``H``'s in each block, through one slot map.
+A mesh with boundary takes the factor of ``H`` for its warm start, at a
+quarter of the fill; only a closed surface builds the real stiffness, for
+its warm-start factor, since its chaotic Newton path moves with the start's
+last bits.  Newton steps follow, built from the exact second
 derivative of the energy (real: its penalty curvature acts on the conjugate
 of ``z`` too).  Each factors the symmetric free-dof Hessian once, with
 pivots taken on the diagonal and the fill-reducing ordering of the solve's
@@ -200,8 +201,8 @@ class Discretization:
     ``[all f1, all f2]``.  Energy, gradient and Hessian all evaluate the
     field at the quadrature points through one kernel, ``_quadrature``,
     run once per field: the residual, energy and Newton system at one ``x``
-    share it.  Every Newton system is assembled into the CSR pattern of
-    ``stiffness``.
+    share it.  The real stiffness and every Newton system are assembled
+    into one CSR pattern through one slot map.
     """
 
     def __init__(self, mesh: SurfaceMesh, order: int = 4):
@@ -272,62 +273,53 @@ class Discretization:
         np.add.at(out, self.tri_dofs, np.concatenate([h1, h2], axis=1))
         return out
 
-    def _entries(self):
-        """Row and column edges of the entries of the (T, 3, 3) element
-        blocks, in their memory order."""
-        edges = self.mesh.facet_edges
-        return np.repeat(edges, 3, axis=1).ravel(), np.tile(edges, (1, 3)).ravel()
-
-    def _assembled(self, blocks):
-        """The (T, 3, 3) element ``blocks`` assembled over the edges (CSR).
-        An entry sums at most two contributions (an edge has at most two
-        facets), to the same bits in either order, and every assembly has
-        one pattern, explicit zeros included."""
-        n_e = self.mesh.n_edges
-        return coo_matrix((blocks.ravel(), self._entries()),
-                          shape=(n_e, n_e)).tocsr()
-
     @cached_property
     def hermitian(self):
         """The stiffness ``[[A, -B], [B, A]]`` as the Hermitian edge
         Laplacian ``H = A + iB`` (CSR), which acts on ``z = f1 + i*f2``;
-        built on first use."""
+        built on first use, explicit zeros included."""
         h, _ = self.tri_frames.hermitian_blocks(self.stiffness_blocks)
-        return self._assembled(h)
+        edges, n_e = self.mesh.facet_edges, self.mesh.n_edges
+        return coo_matrix((h.ravel(), (np.repeat(edges, 3, axis=1).ravel(),
+                                       np.tile(edges, (1, 3)).ravel())),
+                          shape=(n_e, n_e)).tocsr()
 
     @cached_property
-    def stiffness(self):
-        """The real stiffness (CSR), built on first use from ``hermitian``;
-        every Newton system has its pattern.  Its upper-right block sums its
-        own corner products, which keeps the signs of its zeros."""
+    def _pattern(self):
+        """The one CSR pattern of every real matrix: ``hermitian``'s in
+        each of the four blocks; built on first use."""
         h = self.hermitian
-        _, u = self.tri_frames.hermitian_blocks(self.stiffness_blocks)
-        a, b, u = (csr_matrix((data, h.indices, h.indptr), shape=h.shape)
-                   for data in (h.data.real, h.data.imag, self._assembled(u).data))
-        return bmat([[a, u], [b, a]], format="csr")
+        ones = csr_matrix((np.ones(h.nnz), h.indices, h.indptr), shape=h.shape)
+        return bmat([[ones, ones], [ones, ones]], format="csr")
 
     @cached_property
     def _slots(self):
-        """Position in ``stiffness.data`` of every entry of the (T, 6, 6)
-        element matrices: row ``r`` of ``hermitian``, at ``H.data[i:j]``,
-        fills rows ``r`` and ``n_edges + r`` of the stiffness twice each,
-        from ``2 * i`` and from ``2 * (H.nnz + i)``."""
-        h = self.hermitian
-        rows = self.mesh.facet_edges[:, :, None]
-        left = h.indptr[rows] + np.asarray(
-            _positions(h)[self._entries()]).reshape(-1, 3, 3)
-        right, lower = left + np.diff(h.indptr)[rows], 2 * h.nnz
-        return np.block([[left, right], [left + lower, right + lower]]).ravel()
+        """Position in ``_pattern``'s data of every entry of the (T, 6, 6)
+        element matrices."""
+        dofs = self.tri_dofs
+        rows, cols = np.repeat(dofs, 6, axis=1).ravel(), np.tile(dofs, (1, 6)).ravel()
+        return np.asarray(_positions(self._pattern)[rows, cols]).ravel()
 
-    def _matrix(self, p, q, v):
-        """Assemble the global CSR matrix of the shared-frame element
-        blocks ``[[p, q], [q, v]]`` rotated to edge frames, in the pattern
-        of ``stiffness`` (whose index arrays it shares)."""
-        k = self.tri_frames.blocks_to_edges(p, q, v)
-        data = np.full(self.stiffness.nnz, -0.0)
+    def _matrix(self, k):
+        """The (T, 6, 6) edge-frame element matrices ``k`` assembled into
+        ``_pattern`` (CSR, sharing its index arrays): each entry is ``-0.0``
+        plus at most two contributions, to the bits of their sum."""
+        pattern = self._pattern
+        data = np.full(pattern.nnz, -0.0)
         np.add.at(data, self._slots, k.ravel())
-        return csr_matrix((data, self.stiffness.indices, self.stiffness.indptr),
-                          shape=self.stiffness.shape)
+        return csr_matrix((data, pattern.indices, pattern.indptr),
+                          shape=pattern.shape)
+
+    @cached_property
+    def stiffness(self):
+        """The real stiffness (CSR): its element matrices ``[[Re h, u],
+        [Im h, Re h]]`` from ``hermitian_blocks`` assembled on first use,
+        for a closed surface's warm-start factor."""
+        h, u = self.tri_frames.hermitian_blocks(self.stiffness_blocks)
+        k = np.empty((len(h), 6, 6))
+        k[:, :3, :3] = k[:, 3:, 3:] = h.real
+        k[:, :3, 3:], k[:, 3:, :3] = u, h.imag
+        return self._matrix(k)
 
     def newton_system(self, x, epsilon):
         """Assembled Newton system ``(K, B)`` about the field ``x``.
@@ -347,9 +339,10 @@ class Discretization:
         norm2 = f1 * f1 + f2 * f2
         rhs = self._scatter(np.zeros(self.n_dofs), aw * 2.0 * f1 * norm2,
                             aw * 2.0 * f2 * norm2)
-        return self._matrix(stiff + mass(3.0 * f1 * f1 + f2 * f2 - 1.0),
-                            2.0 * mass(f1 * f2),
-                            stiff + mass(f1 * f1 + 3.0 * f2 * f2 - 1.0)), rhs
+        k = self.tri_frames.blocks_to_edges(
+            stiff + mass(3.0 * f1 * f1 + f2 * f2 - 1.0), 2.0 * mass(f1 * f2),
+            stiff + mass(f1 * f1 + 3.0 * f2 * f2 - 1.0))
+        return self._matrix(k), rhs
 
     def lumped_mass(self):
         """Diagonal of the lumped mass matrix, one entry per dof (the
@@ -607,7 +600,7 @@ def newton_solve(mesh, order=4, options=None):
     # A closed surface's Newton path is chaotic, and any change in the warm
     # start's last bits redraws it, so only a mesh with boundary takes the
     # Hermitian factor; a closed surface's real factor orders its solve
-    blocks = None if pinned is None else _free_blocks(disc.stiffness, mask)
+    blocks = None if pinned is None else _free_blocks(disc._pattern, mask)
     x, residual, perm_c = _warm_start(disc, mask, cvalues, blocks, epsilon, options)
     free = ~mask
     residuals = [residual]
@@ -617,7 +610,7 @@ def newton_solve(mesh, order=4, options=None):
     while not (converged := residuals[-1] <= options.tol) and steps < options.max_iter:
         # the solve's first real factor orders every later one
         if blocks is None:
-            blocks = _free_blocks(disc.stiffness, mask)
+            blocks = _free_blocks(disc._pattern, mask)
         elif blocks.permc_spec != "NATURAL":
             blocks = _in_elimination_order(blocks, perm_c)
         matrix, rhs = disc.newton_system(x, epsilon)
