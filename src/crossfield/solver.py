@@ -26,15 +26,15 @@ assembled into one pattern, ``H``'s in each block, through one slot map.
 A mesh with boundary takes the factor of ``H`` for its warm start, at a
 quarter of the fill; only a closed surface builds the real stiffness, for
 its warm-start factor, since its chaotic Newton path moves with the start's
-last bits.  Newton steps follow, built from the exact second
-derivative of the energy (real: its penalty curvature acts on the conjugate
-of ``z`` too).  Each factors the symmetric free-dof Hessian once, with
-pivots taken on the diagonal and the fill-reducing ordering of the solve's
-first real factor, and a step larger than ``STEP_CAP`` in any component is
-scaled down to it; convergence is tested on the 2-norm of the exact energy
-gradient, from the warm start's first projection on, never on the
-linearised residual, so a converged field is a genuine stationary point of
-the functional.
+last bits.  Newton steps follow, built from the exact second derivative
+of the energy (real: its penalty curvature acts on the conjugate of ``z``
+too).  Each factors the symmetric free-dof Hessian once, with pivots taken
+on the diagonal, through the solve's one free-dof system (``_FreeSystem``),
+whose first real factor orders every later one; a step larger than
+``STEP_CAP`` in any component is scaled down to it.  Convergence is tested
+on the 2-norm of the exact energy gradient, from the warm start's first
+projection on, never on the linearised residual, so a converged field is a
+genuine stationary point of the functional.
 """
 
 from __future__ import annotations
@@ -147,6 +147,10 @@ class NewtonOptions:
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite; got {self.tol!r}")
+        for name in ("max_iter", "rng_seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(
+                    f"{name} must be an integer; got {getattr(self, name)!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.rng_seed < 0:
@@ -409,56 +413,6 @@ def _positions(pattern):
                        pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
-class _FreeBlocks(NamedTuple):
-    """Entry positions of the free/free block (CSC) and of the
-    free/constrained block (CSR) of any matrix with one CSR pattern;
-    ``_gather`` fills them with a matrix's values.  ``dofs`` are the free
-    dofs in the order of the blocks' rows and columns, and ``permc_spec`` is
-    the column ordering SuperLU gives the free/free block: minimum degree
-    while the blocks are in dof order, none once they are in elimination
-    order."""
-
-    free_free: csc_matrix
-    free_fixed: csr_matrix
-    dofs: np.ndarray
-    permc_spec: str
-
-
-def _free_blocks(pattern, mask):
-    """The free blocks of the CSR pattern of ``pattern``, in dof order,
-    entry for entry as slicing a matrix of that pattern would give them."""
-    rows = _positions(pattern)[~mask]
-    return _FreeBlocks(rows[:, ~mask].tocsc(), rows[:, mask],
-                       np.flatnonzero(~mask), "MMD_AT_PLUS_A")
-
-
-def _in_elimination_order(blocks, perm_c):
-    """``blocks`` (in dof order) renumbered into the elimination order of a
-    factor of their free/free block, whose ``perm_c[i]`` is the position of
-    free dof ``i``.
-
-    The free/free block takes the columns in that order and renumbers its
-    rows, but each column keeps its rows in ascending dof order.  SuperLU's
-    column searches visit a column's rows in their stored order, so a
-    ``NATURAL`` factor of the renumbered block runs every update of the
-    original ordered factor in the same order and gives the same bits.  The
-    returned arrays are new ones: none is a view of ``perm_c``, which may
-    belong to a factor."""
-    order = np.argsort(perm_c)
-    free_free = blocks.free_free[:, order]
-    free_free = csc_matrix((free_free.data, perm_c[free_free.indices],
-                            free_free.indptr), shape=free_free.shape)
-    return _FreeBlocks(free_free, blocks.free_fixed[order], blocks.dofs[order],
-                       "NATURAL")
-
-
-def _gather(matrix, positions):
-    """The block of ``matrix`` at the entry positions held by ``positions``,
-    in the same sparse format."""
-    return type(positions)((matrix.data[positions.data], positions.indices,
-                            positions.indptr), shape=positions.shape)
-
-
 def _splu(block, permc_spec):
     """SuperLU factors of the square CSC ``block``, real or complex, with
     pivots on the diagonal in symmetric mode; an exactly zero pivot raises
@@ -473,31 +427,65 @@ def _splu(block, permc_spec):
             f"singular system over {block.shape[0]} free unknowns: {exc}") from exc
 
 
-def _factor_free(matrix, mask, values, blocks=None):
-    """LU factors of the free/free block of the symmetric CSR ``matrix`` and
-    the constrained values' contribution ``K_fc @ values_c``, which moves to
-    the right-hand side, both in the order of ``blocks.dofs``.
+class _FreeSystem:
+    """The free-dof system of one solve: the entry positions of the
+    free/free block (CSC) and of the free/constrained block (CSR) of any
+    matrix with the CSR pattern of ``pattern``, the free ``dofs`` in the
+    order of the blocks' rows and columns, and the constrained values.
 
-    ``blocks`` (``_free_blocks`` of the matrix's pattern and ``mask``, built
-    here when not given) fix the ordering: in dof order the block is
-    ordered symmetrically (minimum degree on ``A + A^T``), in an earlier
-    factor's elimination order it is factored as it stands.  Pivots are
-    taken on the diagonal, so on a nonsingular symmetric block the factor
-    is an ``L D L^T`` in disguise: ``perm_r == perm_c`` and the signs of
-    ``U.diagonal()`` are the signs of the block's eigenvalues.
+    The solve's first real factor orders every later one.  The first
+    ``factor`` orders its block symmetrically (minimum degree on ``A +
+    A^T``, which reads only the pattern that every matrix of the solve
+    shares) and keeps a copy of its ``perm_c``: ``lu.perm_c`` is a view that
+    keeps the whole factor alive.  The next renumbers the maps into that
+    elimination order, and it and every later factor take the block as it
+    stands.  The free/free block takes the columns in that order and
+    renumbers its rows, but each column keeps its rows in ascending dof
+    order.  SuperLU's column searches visit a column's rows in their stored
+    order, so a ``NATURAL`` factor of the renumbered block runs every update
+    of the ordered factor in the same order and gives the same bits.
     """
-    blocks = blocks or _free_blocks(matrix, mask)
-    reduced = _gather(matrix, blocks.free_free)
-    # each entry sits once; the order of a column's rows is deliberate (see
-    # _in_elimination_order), and splu would sort a block not marked canonical
-    reduced.has_canonical_format = True
-    bound = _gather(matrix, blocks.free_fixed) @ values[mask]
-    return _splu(reduced, blocks.permc_spec), bound
+
+    def __init__(self, pattern, mask, values):
+        rows = _positions(pattern)[~mask]
+        self.free_free, self.free_fixed = rows[:, ~mask].tocsc(), rows[:, mask]
+        self.dofs = np.flatnonzero(~mask)
+        self.values = values[mask]
+        self.perm_c = None
+        self.permc_spec = "MMD_AT_PLUS_A"
+
+    def factor(self, matrix):
+        """LU factors of the free/free block of the symmetric CSR ``matrix``
+        and the constrained values' contribution ``K_fc @ values_c``, which
+        moves to the right-hand side, both in the order of ``dofs``.  Pivots
+        are taken on the diagonal, so on a nonsingular symmetric block the
+        factor is an ``L D L^T`` in disguise: ``perm_r == perm_c`` and the
+        signs of ``U.diagonal()`` are the signs of the block's eigenvalues.
+        """
+        if self.perm_c is not None and self.permc_spec != "NATURAL":
+            # perm_c[i] is the position of free dof i in elimination order
+            order = np.argsort(self.perm_c)
+            cols = self.free_free[:, order]
+            self.free_free = csc_matrix((cols.data, self.perm_c[cols.indices],
+                                         cols.indptr), shape=cols.shape)
+            self.free_fixed, self.dofs = self.free_fixed[order], self.dofs[order]
+            self.permc_spec = "NATURAL"
+        block, fixed = (type(p)((matrix.data[p.data], p.indices, p.indptr),
+                                shape=p.shape)
+                        for p in (self.free_free, self.free_fixed))
+        # each entry sits once and the order of a column's rows is
+        # deliberate; splu would sort the rows of a block not marked canonical
+        block.has_canonical_format = True
+        bound = fixed @ self.values
+        lu = _splu(block, self.permc_spec)
+        if self.perm_c is None:
+            self.perm_c = lu.perm_c.copy()
+        return lu, bound
 
 
 def _factor_hermitian(hermitian, mask, values):
-    """The pair of ``lu.solve`` and bound that ``_factor_free`` gives for
-    the stiffness ``[[A, -B], [B, A]]``, over the free dofs in dof order,
+    """The pair of ``lu.solve`` and bound that ``_FreeSystem.factor`` gives
+    for the stiffness ``[[A, -B], [B, A]]``, over the free dofs in dof order,
     from the LU factors of the free/free block of ``hermitian``, ``H = A +
     iB``, which acts on ``z = f1 + i*f2`` as the stiffness acts on ``(f1,
     f2)``, and from ``H_fc @ z_c``.  The block keeps ``H``'s pattern,
@@ -529,39 +517,35 @@ def _project(x):
     pairs[:, small] = ((1.0,), (0.0,))
 
 
-def _warm_start(disc, mask, cvalues, blocks, epsilon, options):
-    """Renormalised smoothing-only field, the 2-norm of its energy gradient
-    over the free dofs, and a copy of ``perm_c`` of the factor of the
-    stiffness's free block (``blocks``, in dof order) that computed it; or,
-    with ``blocks`` None, the field from the factor of ``_factor_hermitian``
-    and no ordering.
+def _warm_start(disc, mask, cvalues, system, epsilon, tol):
+    """Renormalised smoothing-only field and the 2-norm of its energy
+    gradient over the free dofs, from the first factor of ``system``, of the
+    real stiffness, which orders the solve; or, with ``system`` None, from
+    the factor of ``_factor_hermitian``.
 
-    Unless that gradient is at ``options.tol``, ``WARMUP_ROUNDS``
+    Unless that gradient is at ``tol``, ``WARMUP_ROUNDS``
     smooth-and-renormalise sweeps through the same factor let the field's
     zeros settle before the penalty freezes them, and the gradient is tested
-    again.  A minimum-degree ordering reads only the pattern, which every
-    system of the solve shares, so a real factor's ordering serves them all.
+    again.
     """
     free = np.flatnonzero(~mask)
     x = cvalues.copy()
-    if blocks is None:
+    if system is None:
         solve, bound = _factor_hermitian(disc.hermitian, mask, cvalues)
-        perm_c = None
     else:
-        lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
-        # lu.perm_c is a view that keeps the whole factor alive
-        solve, perm_c = lu.solve, lu.perm_c.copy()
+        lu, bound = system.factor(disc.stiffness)
+        solve = lu.solve
     x[free] = solve(-bound)
     _project(x)
     # summed in dof order: a permuted vector's norm rounds differently
     residual = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
-    if not residual <= options.tol:
+    if not residual <= tol:
         m_diag = disc.lumped_mass()
         for _ in range(WARMUP_ROUNDS):
             x[free] = solve((m_diag * x)[free] - bound)
             _project(x)
         residual = float(np.linalg.norm(disc.residual(x, epsilon)[free]))
-    return x, residual, perm_c
+    return x, residual
 
 
 def newton_solve(mesh, order=4, options=None):
@@ -571,7 +555,7 @@ def newton_solve(mesh, order=4, options=None):
     norms (see ``_warm_start``).  The 2-norm of the exact energy gradient
     over the free dofs is tested before each step, and assembled Newton
     steps run until it drops to ``tol``, so a stationary start takes no
-    step and never builds or renumbers free blocks for one.  A step whose
+    step and never builds the free-dof system (``_FreeSystem``) for one.  A step whose
     infinity norm exceeds ``STEP_CAP`` is scaled down to it.  An energy
     increase between steps is logged as a warning but does not abort;
     exceeding ``max_iter`` returns with ``converged=False``; an exactly
@@ -600,8 +584,8 @@ def newton_solve(mesh, order=4, options=None):
     # A closed surface's Newton path is chaotic, and any change in the warm
     # start's last bits redraws it, so only a mesh with boundary takes the
     # Hermitian factor; a closed surface's real factor orders its solve
-    blocks = None if pinned is None else _free_blocks(disc._pattern, mask)
-    x, residual, perm_c = _warm_start(disc, mask, cvalues, blocks, epsilon, options)
+    system = None if pinned is None else _FreeSystem(disc._pattern, mask, cvalues)
+    x, residual = _warm_start(disc, mask, cvalues, system, epsilon, options.tol)
     free = ~mask
     residuals = [residual]
     steps = 0
@@ -609,19 +593,14 @@ def newton_solve(mesh, order=4, options=None):
     # a NaN gradient is never converged: it steps on until the budget ends
     while not (converged := residuals[-1] <= options.tol) and steps < options.max_iter:
         # the solve's first real factor orders every later one
-        if blocks is None:
-            blocks = _free_blocks(disc._pattern, mask)
-        elif blocks.permc_spec != "NATURAL":
-            blocks = _in_elimination_order(blocks, perm_c)
+        system = system or _FreeSystem(disc._pattern, mask, cvalues)
         matrix, rhs = disc.newton_system(x, epsilon)
-        lu, bound = _factor_free(matrix, mask, cvalues, blocks)
-        if blocks.permc_spec != "NATURAL":
-            perm_c = lu.perm_c.copy()
-        step = lu.solve(rhs[blocks.dofs] - bound) - x[blocks.dofs]
+        lu, bound = system.factor(matrix)
+        step = lu.solve(rhs[system.dofs] - bound) - x[system.dofs]
         # drop the factor before the next one is built: with two alive at
         # once the heap fragments and the peak memory grows every step
         del lu
-        x[blocks.dofs] += step / max(1.0, np.abs(step).max(initial=0.0) / STEP_CAP)
+        x[system.dofs] += step / max(1.0, np.abs(step).max(initial=0.0) / STEP_CAP)
         steps += 1
         residuals.append(float(np.linalg.norm(disc.residual(x, epsilon)[free])))
         energy = disc.energy(x, epsilon).total

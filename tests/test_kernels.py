@@ -19,7 +19,7 @@ from scipy.spatial import ConvexHull
 
 from crossfield import (CR_GRADIENTS, Discretization, NewtonOptions,
                         SurfaceMesh, build_edge_frames, constraint_dofs)
-from crossfield.solver import _free_blocks, _gather
+from crossfield.solver import _FreeSystem
 
 import meshes
 
@@ -183,11 +183,15 @@ def test_component_kernels_keep_every_bit(name, k, seed, rotate, order):
     full = assembled(disc, tf.blocks_to_edges(blocks, 0.0, blocks))
     assert np.array_equal(stiffness.data, full.data)
 
-    mask, _, _ = constraint_dofs(mesh, NewtonOptions(rng_seed=seed))
+    mask, values, _ = constraint_dofs(mesh, NewtonOptions(rng_seed=seed))
     free = ~mask
-    free_blocks = _free_blocks(stiffness, mask)
-    for positions, sliced in ((free_blocks.free_free, want[free][:, free].tocsc()),
-                              (free_blocks.free_fixed, want[free][:, mask])):
-        got = _gather(stiffness, positions)
+    system = _FreeSystem(disc._pattern, mask, values)
+    for positions, sliced in ((system.free_free, want[free][:, free].tocsc()),
+                              (system.free_fixed, want[free][:, mask])):
+        # the entries of the stiffness at the system's positions, as its
+        # factor gathers them
+        got = type(positions)((stiffness.data[positions.data],
+                               positions.indices, positions.indptr),
+                              shape=positions.shape)
         for attr in ("data", "indices", "indptr"):
             assert same_bits(getattr(got, attr), getattr(sliced, attr))

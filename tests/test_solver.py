@@ -21,9 +21,8 @@ from crossfield import (CR_GRADIENTS, Discretization, EnergyBreakdown,
 from crossfield import solver as solver_module
 from crossfield.frames import TriangleFrames
 from crossfield.mesh import boundary_loops
-from crossfield.solver import (WARMUP_ROUNDS, _factor_free,
-                               _factor_hermitian, _free_blocks, _gather,
-                               _in_elimination_order, _project, _warm_start)
+from crossfield.solver import (WARMUP_ROUNDS, _FreeSystem, _factor_hermitian,
+                               _project, _warm_start)
 
 import meshes
 
@@ -206,7 +205,9 @@ def test_newton_system_keeps_the_signs_of_zeros():
 
 
 @pytest.mark.parametrize("case", ["aligned-square", "pinned-sphere"])
-def test_gathered_free_blocks_equal_slicing(case, sphere_mesh):
+def test_gathered_free_blocks_equal_slicing(case, sphere_mesh, monkeypatch):
+    """The free/free block that a free-dof system hands to ``splu`` and its
+    bound are the sliced ones, from the shared pattern or the matrix's own."""
     mesh = (aligned_square_case(10) if case == "aligned-square"
             else sphere_mesh)
     disc = Discretization(mesh, 4)
@@ -217,16 +218,24 @@ def test_gathered_free_blocks_equal_slicing(case, sphere_mesh):
     free = ~mask
     expected = matrix[free][:, free].tocsc()
     expected_bound = matrix[free][:, mask] @ values[mask]
-    blocks = _free_blocks(disc.stiffness, mask)
-    for got, want in ((_gather(matrix, blocks[0]), expected),
-                      (_gather(disc.stiffness, blocks[0]),
-                       disc.stiffness[free][:, free].tocsc())):
+    factored = []
+    splu = solver_module.splu
+
+    def recorded(block, *args, **kwargs):
+        factored.append(block)
+        return splu(block, *args, **kwargs)
+    monkeypatch.setattr(solver_module, "splu", recorded)
+    for source, want in ((matrix, expected),
+                         (disc.stiffness,
+                          disc.stiffness[free][:, free].tocsc())):
+        _FreeSystem(disc._pattern, mask, values).factor(source)
+        got = factored[-1]
         assert got.format == "csc" and got.has_canonical_format
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data, want.data)
-    for maps in (blocks, None):
-        _, bound = _factor_free(matrix, mask, values, maps)
+    for pattern in (disc._pattern, matrix):
+        _, bound = _FreeSystem(pattern, mask, values).factor(matrix)
         assert np.array_equal(bound, expected_bound)
 
 
@@ -254,6 +263,27 @@ def _count_calls(monkeypatch, targets):
     return calls
 
 
+def _count_free_systems(monkeypatch):
+    """Count the ``_FreeSystem`` builds, and the factor calls that renumber
+    a system's maps into elimination order (they replace its ``dofs``)."""
+    counts = {"builds": 0, "renumberings": 0}
+    init, factor = _FreeSystem.__init__, _FreeSystem.factor
+
+    def built(self, *args):
+        counts["builds"] += 1
+        init(self, *args)
+
+    def factored(self, matrix):
+        dofs = self.dofs
+        try:
+            return factor(self, matrix)
+        finally:
+            counts["renumberings"] += self.dofs is not dofs
+    monkeypatch.setattr(_FreeSystem, "__init__", built)
+    monkeypatch.setattr(_FreeSystem, "factor", factored)
+    return counts
+
+
 def test_solve_call_structure(monkeypatch):
     """Per Newton step one assembly, one residual, one energy and one
     factorisation, plus the warm start's factorisation and its two gradient
@@ -264,15 +294,15 @@ def test_solve_call_structure(monkeypatch):
 
     The solve's first real factor orders it: the warm start's on a closed
     surface, the first Newton step's on a mesh with boundary, whose warm
-    start factors the complex Hermitian block.  The free blocks are built
-    once, for that factor, and renumbered once, before the next one."""
+    start factors the complex Hermitian block.  The free-dof system is built
+    once, for that factor, and renumbered once, by the next one."""
     from crossfield import solver
 
     calls = _count_calls(monkeypatch, [
         (Discretization, "newton_system"), (Discretization, "residual"),
         (Discretization, "energy"), (Discretization, "_quadrature"),
-        (solver, "splu"), (solver, "_free_blocks"),
-        (solver, "_in_elimination_order")])
+        (solver, "splu")])
+    systems = _count_free_systems(monkeypatch)
     orderings = []
     splu = solver.splu
 
@@ -286,32 +316,35 @@ def test_solve_call_structure(monkeypatch):
     assert log.converged and steps > 2
     assert calls == {"newton_system": steps, "residual": steps + 2,
                      "energy": steps, "_quadrature": steps + 2,
-                     "splu": steps + 1, "_free_blocks": 1,
-                     "_in_elimination_order": 1}
+                     "splu": steps + 1}
+    assert systems == {"builds": 1, "renumberings": 1}
     # the warm start's factor computes the solve's only ordering
     assert orderings == ([("MMD_AT_PLUS_A", "f")]
                          + [("NATURAL", "f")] * steps)
 
     calls.clear()
     orderings.clear()
+    systems.update(builds=0, renumberings=0)
     mesh = meshes.surface(meshes.disk_hex, 6)
     field, log = newton_solve(mesh, 4, NewtonOptions(tol=1e-12))
     steps = log.iterations
     assert log.converged and steps > 2
     assert calls == {"newton_system": steps, "residual": steps + 2,
                      "energy": steps, "_quadrature": steps + 2,
-                     "splu": steps + 1, "_free_blocks": 1,
-                     "_in_elimination_order": 1}
+                     "splu": steps + 1}
+    assert systems == {"builds": 1, "renumberings": 1}
     assert [spec for spec, _ in orderings] == (
         ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"] + ["NATURAL"] * (steps - 1))
     assert [kind for _, kind in orderings] == ["c"] + ["f"] * steps
 
     calls.clear()
     orderings.clear()
+    systems.update(builds=0, renumberings=0)
     mesh = meshes.surface(meshes.lshape_tri, 6)
     field, log = newton_solve(mesh, 4, NewtonOptions(tol=1e-12))
     assert log.converged and log.iterations == 0
     assert calls == {"residual": 1, "_quadrature": 1, "splu": 1}
+    assert systems == {"builds": 0, "renumberings": 0}
     assert orderings == [("MMD_AT_PLUS_A", "c")]
 
 
@@ -421,6 +454,14 @@ def test_options_validation():
             NewtonOptions(tol=tol)
     with pytest.raises(ValueError):
         NewtonOptions(max_iter=0)
+    # a count must be an integer: 2.5 steps ran 3, and a float seed failed
+    # only later, inside the draw of a closed surface's pinned edge
+    with pytest.raises(ValueError, match="max_iter"):
+        NewtonOptions(max_iter=2.5)
+    with pytest.raises(ValueError, match="rng_seed"):
+        NewtonOptions(rng_seed=1.5)
+    options = NewtonOptions(max_iter=np.int64(3), rng_seed=np.uint8(2))
+    assert options.max_iter == 3 and options.rng_seed == 2
     with pytest.raises(ValueError):
         NewtonOptions(epsilon=-0.1)
 
@@ -502,9 +543,9 @@ def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
     x, residual = hermitian_warm_start(disc, mask, cvalues, epsilon, 0)
     assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
     assert log.residuals == (residual,)
-    real, _, _ = _warm_start(disc, mask, cvalues,
-                             _free_blocks(disc.stiffness, mask), epsilon,
-                             options)
+    real, _ = _warm_start(disc, mask, cvalues,
+                          _FreeSystem(disc._pattern, mask, cvalues), epsilon,
+                          options.tol)
     assert np.abs(x - real).max() <= 1e-13
 
 
@@ -513,14 +554,14 @@ def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
                          ids=["lshape", "square"])
 def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
     """A stationary first projection ends the warm start: no sweep, no
-    lumped mass, and no free blocks built or renumbered for a step that
+    lumped mass, and no free-dof system built or factored for a step that
     never comes.  The field is one solve of the factored Hermitian block,
     projected, and within rounding of one solve of the real block."""
     mesh = meshes.surface(generator, n)
     options = NewtonOptions(tol=1e-12)
     calls = _count_calls(monkeypatch, [
-        (solver_module, "_project"), (solver_module, "_in_elimination_order"),
-        (solver_module, "_free_blocks"), (Discretization, "lumped_mass")])
+        (solver_module, "_project"), (_FreeSystem, "__init__"),
+        (_FreeSystem, "factor"), (Discretization, "lumped_mass")])
     field, log = newton_solve(mesh, 4, options)
     assert log.converged and log.iterations == 0
     assert calls == {"_project": 1}
@@ -532,19 +573,19 @@ def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
                                        options.resolve_epsilon(mesh), 0)
     assert field.values.tobytes() == disc.values_from_vector(x).tobytes()
     assert log.residuals == (residual,)
-    blocks = _free_blocks(disc.stiffness, mask)
-    lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
+    system = _FreeSystem(disc._pattern, mask, cvalues)
+    lu, bound = system.factor(disc.stiffness)
     real = cvalues.copy()
-    real[blocks.dofs] = lu.solve(-bound)
+    real[system.dofs] = lu.solve(-bound)
     _project(real)
     assert np.abs(x - real).max() <= 1e-13
 
 
 def test_bounded_warm_start_sweeps_match_the_hermitian_reference(monkeypatch):
-    """Without real free blocks the warm start factors the Hermitian block:
+    """Without a free-dof system the warm start factors the Hermitian block:
     a start far from stationary (a first gradient above ``far``) runs every
-    sweep through it with the bits of the reference loop, builds no free
-    blocks and hands back no ordering.  Ten projected sweeps keep the field
+    sweep through it with the bits of the reference loop and builds no
+    free-dof system.  Ten projected sweeps keep the field
     within 1e-11 of the real factor's, on the flat disk and on the curved
     saddle."""
     for generator, far in ((meshes.disk_hex, 1.0), (meshes.saddle_tri, 1e-2)):
@@ -554,11 +595,9 @@ def test_bounded_warm_start_sweeps_match_the_hermitian_reference(monkeypatch):
         mask, cvalues, _ = constraint_dofs(mesh, options)
         calls = _count_calls(monkeypatch, [(Discretization, "lumped_mass"),
                                            (solver_module, "_project"),
-                                           (solver_module, "_free_blocks")])
-        x, residual, perm_c = _warm_start(disc, mask, cvalues, None, 0.3,
-                                          options)
+                                           (_FreeSystem, "__init__")])
+        x, residual = _warm_start(disc, mask, cvalues, None, 0.3, options.tol)
         assert calls == {"lumped_mass": 1, "_project": WARMUP_ROUNDS + 1}
-        assert perm_c is None
         monkeypatch.undo()
 
         assert hermitian_warm_start(disc, mask, cvalues, 0.3, 0)[1] > far
@@ -566,9 +605,9 @@ def test_bounded_warm_start_sweeps_match_the_hermitian_reference(monkeypatch):
                                                  WARMUP_ROUNDS)
         assert x.tobytes() == ref.tobytes()
         assert residual == ref_residual
-        real, _, _ = _warm_start(disc, mask, cvalues,
-                                 _free_blocks(disc.stiffness, mask), 0.3,
-                                 options)
+        real, _ = _warm_start(disc, mask, cvalues,
+                              _FreeSystem(disc._pattern, mask, cvalues), 0.3,
+                              options.tol)
         assert np.abs(x - real).max() <= 1e-11
 
 
@@ -673,22 +712,22 @@ def test_real_stiffness_is_built_only_for_a_real_factor(
 @pytest.mark.parametrize("rounds", [WARMUP_ROUNDS])
 def test_warm_start_sweeps_match_the_reference_loop(monkeypatch, rounds):
     """A start far from stationary runs every sweep, with the bits of the
-    loop kept here, and hands back the gradient after them and a copy of
-    the factor's ordering."""
+    loop kept here, and hands back the gradient after them; the system keeps
+    a copy of the factor's ordering."""
     mesh = meshes.surface(meshes.golden_spiral_sphere, 300)
     disc = Discretization(mesh, 4)
     options = NewtonOptions(epsilon=0.3)
     mask, cvalues, _ = constraint_dofs(mesh, options)
-    blocks = _free_blocks(disc.stiffness, mask)
+    system = _FreeSystem(disc._pattern, mask, cvalues)
     calls = _count_calls(monkeypatch, [(Discretization, "lumped_mass"),
                                        (solver_module, "_project")])
-    x, residual, perm_c = _warm_start(disc, mask, cvalues, blocks, 0.3,
-                                      options)
+    x, residual = _warm_start(disc, mask, cvalues, system, 0.3, options.tol)
     assert calls == {"lumped_mass": 1, "_project": rounds + 1}
     monkeypatch.undo()
 
-    free = blocks.dofs
-    lu, bound = _factor_free(disc.stiffness, mask, cvalues, blocks)
+    free = system.dofs
+    lu, bound = _FreeSystem(disc.stiffness, mask, cvalues).factor(
+        disc.stiffness)
     ref = cvalues.copy()
     ref[free] = lu.solve(-bound)
     _project(ref)
@@ -699,6 +738,7 @@ def test_warm_start_sweeps_match_the_reference_loop(monkeypatch, rounds):
         _project(ref)
     assert x.tobytes() == ref.tobytes()
     assert residual == float(np.linalg.norm(disc.residual(ref, 0.3)[~mask]))
+    perm_c = system.perm_c
     assert np.array_equal(perm_c, lu.perm_c) and perm_c.base is None
 
 
@@ -924,7 +964,7 @@ def test_factor_takes_diagonal_pivots_on_indefinite_newton_matrix():
     x = np.random.default_rng(3).uniform(-0.3, 0.3, size=disc.n_dofs)
     x[mask] = values[mask]
     matrix, rhs = disc.newton_system(x, 0.25)
-    lu, bound = _factor_free(matrix, mask, values)
+    lu, bound = _FreeSystem(matrix, mask, values).factor(matrix)
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert (lu.U.diagonal() < 0).sum() > 0   # an indefinite Hessian
     free = ~mask
@@ -940,58 +980,82 @@ def test_exactly_singular_system_raises_typed_error():
                                   [0.0, 0.5, 2.0]]))
     mask = np.array([False, False, True])
     with pytest.raises(SingularFactorError, match="singular"):
-        _factor_free(matrix, mask, np.zeros(3))
+        _FreeSystem(matrix, mask, np.zeros(3)).factor(matrix)
 
 
-@pytest.fixture(scope="module", params=["sphere-4", "sphere-6", "lshape-4"])
+@pytest.fixture(scope="module",
+                params=["sphere-4", "sphere-6", "lshape-4", "disk-4"])
 def newton_in_elimination_order(request, sphere_mesh):
-    """The first Newton system of a solve, the blocks in the elimination
-    order its warm start computed, that ordering, and the warm start's
-    factor."""
-    name, order = request.param.split("-")
-    mesh = (sphere_mesh if name == "sphere"
-            else meshes.surface(meshes.lshape_tri, 8))
-    disc = Discretization(mesh, int(order))
-    mask, values, _ = constraint_dofs(mesh, NewtonOptions(epsilon=0.1))
-    factors = []
-    original = solver_module.splu
+    """The free-dof system of a solve after its ordering factor, the next
+    Newton system, the system's factor of it in elimination order, and the
+    ordering factor.
 
-    def recorded(*args, **kwargs):
-        factors.append(original(*args, **kwargs))
-        return factors[-1]
-    solver_module.splu = recorded
+    On the sphere the warm start's factor of the stiffness orders the solve
+    and the next system is the first Newton system.  A mesh with boundary
+    factors the Hermitian block for its warm start, so a solve of one Newton
+    step orders it and the next system is the second Newton system: the
+    disk steps from its warm start, and the L-shape, whose aligned start is
+    stationary to rounding, steps under a tolerance below that rounding.
+    """
+    name, order = request.param.split("-")
+    mesh = {"sphere": sphere_mesh,
+            "lshape": meshes.surface(meshes.lshape_tri, 8),
+            "disk": meshes.surface(meshes.disk_hex, 6)}[name]
+    disc = Discretization(mesh, int(order))
+    options = NewtonOptions(epsilon=0.1)
+    mask, values, _ = constraint_dofs(mesh, options)
+    systems, factors = [], []
+    init, factor = _FreeSystem.__init__, _FreeSystem.factor
+
+    def built(self, *args):
+        systems.append(self)
+        init(self, *args)
+
+    def recorded(self, matrix):
+        lu, bound = factor(self, matrix)
+        factors.append(lu)
+        return lu, bound
+    _FreeSystem.__init__, _FreeSystem.factor = built, recorded
     try:
-        blocks = _free_blocks(disc.stiffness, mask)
-        x, _, perm_c = _warm_start(disc, mask, values, blocks, 0.1,
-                                   NewtonOptions(epsilon=0.1))
+        if name == "sphere":
+            system = _FreeSystem(disc._pattern, mask, values)
+            x, _ = _warm_start(disc, mask, values, system, 0.1, options.tol)
+        else:
+            tol = 1e-300 if name == "lshape" else options.tol
+            field, log = newton_solve(mesh, int(order), NewtonOptions(
+                epsilon=0.1, tol=tol, max_iter=1))
+            assert log.iterations == 1 and log.residuals[0] > tol
+            [system] = systems
+            x = disc.vector_from_values(field.values)
     finally:
-        solver_module.splu = original
-    blocks = _in_elimination_order(blocks, perm_c)
+        _FreeSystem.__init__, _FreeSystem.factor = init, factor
+    assert system.permc_spec == "MMD_AT_PLUS_A"
     matrix, rhs = disc.newton_system(x, 0.1)
-    return matrix, rhs, mask, values, blocks, perm_c, factors
+    return matrix, rhs, mask, values, system, system.factor(matrix), factors
 
 
 def test_factor_in_elimination_order_repeats_the_ordering_factor(
         newton_in_elimination_order):
-    """The solve factors each Newton system in the elimination order of its
-    warm start with no ordering of its own; the factor has the bits of the
-    self-ordering factor, because every column keeps its rows in dof order.
+    """The solve factors each later Newton system in the elimination order
+    of its first real factor with no ordering of its own; the factor has the
+    bits of the self-ordering factor, because every column keeps its rows in
+    dof order.
 
     ``splu`` calls ``sum_duplicates()``, which sorts the rows of a block not
     marked canonical; the rows are unique and only their order is
     deliberate, and a block with sorted rows fails this test.
     """
-    matrix, rhs, mask, values, blocks, _, _ = newton_in_elimination_order
-    assert blocks.permc_spec == "NATURAL"
-    ref, ref_bound = _factor_free(matrix, mask, values)
+    matrix, rhs, mask, values, system, (lu, bound), _ = \
+        newton_in_elimination_order
+    assert system.permc_spec == "NATURAL"
+    ref, ref_bound = _FreeSystem(matrix, mask, values).factor(matrix)
     free_dofs = np.flatnonzero(~mask)
-    # the Newton system's own ordering is the warm start's
-    assert np.array_equal(free_dofs[np.argsort(ref.perm_c)], blocks.dofs)
-    lu, bound = _factor_free(matrix, mask, values, blocks)
-    identity = np.arange(len(blocks.dofs))
+    # the Newton system's own ordering is the ordering factor's
+    assert np.array_equal(free_dofs[np.argsort(ref.perm_c)], system.dofs)
+    identity = np.arange(len(system.dofs))
     assert np.array_equal(lu.perm_c, identity)
     assert np.array_equal(lu.perm_r, identity)
-    order = np.searchsorted(free_dofs, blocks.dofs)
+    order = np.searchsorted(free_dofs, system.dofs)
     assert bound.tobytes() == ref_bound[order].tobytes()
     b = rhs[~mask] - ref_bound
     assert lu.solve(b[order]).tobytes() == ref.solve(b)[order].tobytes()
@@ -1001,11 +1065,11 @@ def test_factor_in_elimination_order_repeats_the_ordering_factor(
 
 def test_elimination_order_owns_its_memory(newton_in_elimination_order):
     """``lu.perm_c`` is a view that keeps its whole factor alive; nothing
-    the Newton loop keeps may lead back to the warm start's factor."""
-    *_, blocks, perm_c, factors = newton_in_elimination_order
-    arrays = [perm_c, blocks.dofs] + [getattr(block, name)
-                              for block in (blocks.free_free, blocks.free_fixed)
-                              for name in ("data", "indices", "indptr")]
+    the free-dof system keeps may lead back to its ordering factor."""
+    *_, system, _, factors = newton_in_elimination_order
+    arrays = [system.perm_c, system.dofs] + [
+        getattr(block, name) for block in (system.free_free, system.free_fixed)
+        for name in ("data", "indices", "indptr")]
     for array in arrays:
         while array is not None:
             assert not isinstance(array, SuperLU)
@@ -1025,12 +1089,11 @@ def test_exactly_singular_system_in_elimination_order_raises_typed_error():
                                     [0.0, 0.5, 2.0]]))
     assert np.array_equal(singular.indices, pattern.indices)
     mask = np.array([False, False, True])
-    blocks = _free_blocks(pattern, mask)
-    lu, _ = _factor_free(pattern, mask, np.zeros(3), blocks)
-    blocks = _in_elimination_order(blocks, lu.perm_c)
-    assert blocks.permc_spec == "NATURAL"
+    system = _FreeSystem(pattern, mask, np.zeros(3))
+    system.factor(pattern)
     with pytest.raises(SingularFactorError, match="singular"):
-        _factor_free(singular, mask, np.zeros(3), blocks)
+        system.factor(singular)
+    assert system.permc_spec == "NATURAL"
 
 
 def test_asterisk_sphere_ends_at_a_minimum(sphere_mesh):
@@ -1043,7 +1106,8 @@ def test_asterisk_sphere_ends_at_a_minimum(sphere_mesh):
     disc = Discretization(sphere_mesh, 6)
     x = disc.vector_from_values(field.values)
     mask, values, _ = constraint_dofs(sphere_mesh, options)
-    lu, _ = _factor_free(disc.newton_system(x, 0.1)[0], mask, values)
+    matrix = disc.newton_system(x, 0.1)[0]
+    lu, _ = _FreeSystem(matrix, mask, values).factor(matrix)
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert (lu.U.diagonal() < 0).sum() == 0
     assert disc.energy(x, 0.1).total < 57.2
