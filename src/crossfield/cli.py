@@ -37,7 +37,7 @@ def _dump(data):
 def _emit(text, path):
     """Write ``text`` to the file ``path``, or to stdout when it is None."""
     if path:
-        with open(path, "w") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -116,7 +116,7 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
     if out_field:
         write_field_vtk(out_field, mesh, field, windings)
     if out_report:
-        with open(out_report, "w") as handle:
+        with open(out_report, "w", encoding="utf-8") as handle:
             handle.write(_dump(report) + "\n")
 
     if not log.converged:

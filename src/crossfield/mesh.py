@@ -421,26 +421,21 @@ def _facet_size(path, sizes):
     return max(found, default=3)
 
 
-def _read_off(path):
-    lines = [s for s in (_strip_comment(l) for l in path.read_text().splitlines()) if s]
+def _read_off(path, lines):
+    lines = [s for s in map(_strip_comment, lines) if s]
     if not lines or lines[0].split()[0] != "OFF":
         raise MeshLoadError(f"{path}: missing OFF header")
     # the counts follow the keyword on its own line or on the next one
     inline = len(lines[0].split()) >= 4
     counts = lines[0].split()[1:] if inline else " ".join(lines[1:2]).split()
     body = lines[1 if inline else 2:]
-    try:
-        n_v, n_f = int(counts[0]), int(counts[1])
-        if min(n_v, n_f) < 0 or len(body) < n_v + n_f:
-            raise ValueError(f"counts {n_v} {n_f} for {len(body)} records")
-        faces = body[n_v:n_v + n_f]
-        vertices = _rows(body[:n_v], float, (0, 1, 2))
-        k = _facet_size(path, _rows(faces, np.int64, (0,)))
-        faces = _rows(faces, np.int64, range(1, 1 + k))
-    except MeshLoadError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise MeshLoadError(f"{path}: malformed OFF file ({exc!r})") from exc
+    n_v, n_f = int(counts[0]), int(counts[1])
+    if min(n_v, n_f) < 0 or len(body) < n_v + n_f:
+        raise ValueError(f"counts {n_v} {n_f} for {len(body)} records")
+    faces = body[n_v:n_v + n_f]
+    vertices = _rows(body[:n_v], float, (0, 1, 2))
+    k = _facet_size(path, _rows(faces, np.int64, (0,)))
+    faces = _rows(faces, np.int64, range(1, 1 + k))
     outside = np.flatnonzero(((faces < 0) | (faces >= n_v)).any(axis=1))
     if len(outside):
         raise MeshLoadError(
@@ -448,11 +443,9 @@ def _read_off(path):
     return vertices, faces
 
 
-def _read_obj(path):
-    vertices = []
-    faces = []
-    face_lines = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+def _read_obj(path, lines):
+    vertices, faces, face_lines = [], [], []
+    for lineno, raw in enumerate(lines, start=1):
         line = _strip_comment(raw)
         if not line:
             continue
@@ -484,15 +477,6 @@ def _read_obj(path):
     k = _facet_size(path, [len(f) for f in faces])
     return (np.array(vertices, dtype=float).reshape(-1, 3),
             np.array(faces, dtype=np.int64).reshape(-1, k))
-
-
-def _read_msh(path):
-    try:
-        return _parse_msh(path, path.read_text().splitlines())
-    except MeshLoadError:
-        raise
-    except (IndexError, ValueError) as exc:
-        raise MeshLoadError(f"{path}: malformed MSH file ({exc!r})") from exc
 
 
 #: A ``$Nodes`` row: the node id and its three coordinates.
@@ -529,7 +513,7 @@ def _msh_triangles(path, block):
     return faces
 
 
-def _parse_msh(path, lines):
+def _read_msh(path, lines):
     i = 0
     nodes = [np.empty(0, dtype=_NODE_ROW)]
     faces = [np.empty((0, 3), dtype=np.int64)]
@@ -599,23 +583,33 @@ def load_mesh(path):
     Raises
     ------
     MeshLoadError
-        Unreadable file, unknown format, or a mix of triangles and
-        quadrangles (mixed-element meshes are excluded).
+        Unreadable file, unknown format, malformed records, or a mix of
+        triangles and quadrangles (mixed-element meshes are excluded).
     InvalidMeshError
         Structurally broken connectivity (non-manifold edge, degenerate
         triangle, inconsistent orientation).
+
+    Every message names the file.  A byte that is not UTF-8 decodes to a
+    lone surrogate: in a comment, an OBJ name or a skipped MSH section it
+    is ignored, and in a record it fails that record's parse.
     """
     path = Path(path)
-    if not path.is_file():
-        raise MeshLoadError(f"{path}: no such file")
     fmt = path.suffix.lstrip(".").lower()
     reader = _READERS.get(fmt)
     if reader is None:
         raise MeshLoadError(f"{path}: cannot detect mesh format {fmt!r}")
     try:
-        vertices, faces = reader(path)
+        vertices, faces = reader(path, path.read_text(
+            encoding="utf-8", errors="surrogateescape").splitlines())
+        if len(faces) == 0:
+            raise MeshLoadError(f"{path}: mesh file contains no facets")
+        return (SurfaceMesh if faces.shape[1] == 3 else QuadMesh)(vertices, faces)
+    except MeshLoadError:
+        raise
+    except InvalidMeshError as exc:
+        raise InvalidMeshError(f"{path}: {exc}") from exc
     except OSError as exc:
-        raise MeshLoadError(f"{path}: {exc}") from exc
-    if len(faces) == 0:
-        raise MeshLoadError(f"{path}: mesh file contains no facets")
-    return (SurfaceMesh if faces.shape[1] == 3 else QuadMesh)(vertices, faces)
+        raise MeshLoadError(f"{path}: {exc.strerror or exc}") from exc
+    except (IndexError, ValueError) as exc:
+        raise MeshLoadError(
+            f"{path}: malformed {fmt.upper()} file ({exc!r})") from exc

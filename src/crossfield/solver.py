@@ -42,6 +42,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -145,12 +146,16 @@ class NewtonOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
+        kinds = {"tol": Real, "max_iter": Integral, "rng_seed": Integral,
+                 "epsilon": str if self.epsilon == "auto" else Real}
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            # a bool is an int to Python, but never a tolerance or a count
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is Integral else "a real number"
+                raise ValueError(f"{name} must be {noun}; got {value!r}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite; got {self.tol!r}")
-        for name in ("max_iter", "rng_seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(
-                    f"{name} must be an integer; got {getattr(self, name)!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.rng_seed < 0:

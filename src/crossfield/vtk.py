@@ -64,5 +64,5 @@ def write_field_vtk(path, mesh, field, windings):
     lines.append("LOOKUP_TABLE default")
     lines.append(_block("%d", windings))
 
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

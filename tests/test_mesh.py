@@ -497,10 +497,7 @@ READER_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None,
 
 
 def _assert_reads_as_reference(reader, text, reference, suffix):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"mesh.{suffix}"
-        path.write_text(text)
-        vertices, faces = reader(path)
+    vertices, faces = reader(Path(f"mesh.{suffix}"), text.splitlines())
     want_vertices, want_faces = reference(text)
     assert vertices.dtype == want_vertices.dtype == np.float64
     assert vertices.tobytes() == want_vertices.tobytes()
@@ -576,9 +573,69 @@ def test_readers_return_facet_arrays(tmp_path):
                           ("msh", meshes.write_msh22)):
         path = tmp_path / f"disk.{suffix}"
         write(path, verts, tris)
-        vertices, faces = mesh_module._READERS[suffix](path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        vertices, faces = mesh_module._READERS[suffix](path, lines)
         assert vertices.dtype == np.float64 and vertices.shape == verts.shape
         assert faces.dtype == np.int64 and np.array_equal(faces, tris)
+
+
+#: One triangle per format, with the word "note" in a comment (OFF), an
+#: object name (OBJ) or a section that the reader skips (MSH).
+NOTED_TRIANGLE = {
+    "off": b"OFF\n# note\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "obj": b"o note\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "msh": (MSH_START + "$Comment\nnote\n$EndComment\n" + THREE_NODES
+            + ONE_TRIANGLE).encode(),
+}
+
+
+def _load_bytes(path, data):
+    path.write_bytes(data)
+    return load_mesh(path)
+
+
+# the first three are not UTF-8; the last is, and its letters hold the bytes
+# 0x85 and 0xa0, which latin-1 would read as a line break and a space
+@pytest.mark.parametrize("stray", [b"caf\xe9", b"\xff\xfe", b"\x85end",
+                                   "\u00c5land \u0445\u00e0".encode()],
+                         ids=["latin-1", "ff-fe", "lone-85", "utf-8"])
+@pytest.mark.parametrize("fmt", sorted(NOTED_TRIANGLE))
+def test_any_byte_outside_the_records_loads(tmp_path, fmt, stray):
+    clean = _load_bytes(tmp_path / f"clean.{fmt}", NOTED_TRIANGLE[fmt])
+    noted = NOTED_TRIANGLE[fmt].replace(b"note", b"note " + stray)
+    mesh = _load_bytes(tmp_path / f"stray.{fmt}", noted)
+    assert mesh.vertices.tobytes() == clean.vertices.tobytes()
+    assert np.array_equal(mesh.triangles, clean.triangles)
+
+
+@pytest.mark.parametrize("fmt, message", [
+    ("msh", "could not convert string"), ("obj", ":3: bad vertex record"),
+    ("off", "could not convert string")])
+def test_a_byte_inside_a_coordinate_names_the_file(tmp_path, fmt, message):
+    # the message names the field, not the file's bytes: a failed decode
+    # once echoed all of them
+    data = NOTED_TRIANGLE[fmt].replace(b"1 0 0\n", b"1\xe9 0 0\n", 1)
+    path = tmp_path / f"bad.{fmt}"
+    with pytest.raises(MeshLoadError, match=f"bad.{fmt}") as info:
+        _load_bytes(path, data)
+    assert message in str(info.value)
+    assert len(str(info.value)) < len(str(path)) + 200
+
+
+@pytest.mark.parametrize("fmt", sorted(NOTED_TRIANGLE))
+def test_degenerate_triangle_names_the_file(tmp_path, fmt):
+    data = NOTED_TRIANGLE[fmt].replace(b"0 1 0\n", b"2 0 0\n")
+    with pytest.raises(InvalidMeshError, match=f"flat.{fmt}: degenerate"):
+        _load_bytes(tmp_path / f"flat.{fmt}", data)
+
+
+def test_unreadable_file_names_the_file(tmp_path):
+    with pytest.raises(MeshLoadError, match="nope.off: No such file"):
+        load_mesh(tmp_path / "nope.off")
+    directory = tmp_path / "dir.obj"
+    directory.mkdir()
+    with pytest.raises(MeshLoadError, match="dir.obj: Is a directory"):
+        load_mesh(directory)
 
 
 @pytest.mark.parametrize("mesh", [

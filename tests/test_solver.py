@@ -464,6 +464,16 @@ def test_options_validation():
     assert options.max_iter == 3 and options.rng_seed == 2
     with pytest.raises(ValueError):
         NewtonOptions(epsilon=-0.1)
+    # a wrong type is named: a string tol escaped as a bare TypeError, a
+    # string epsilon gave float()'s message, and a bool ran as 1
+    for name, value in [("tol", "1e-9"), ("epsilon", "banana"),
+                        ("epsilon", "0.1"), ("max_iter", "3")] + [
+            (name, flag) for name in ("tol", "max_iter", "epsilon", "rng_seed")
+            for flag in (True, False)]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            NewtonOptions(**{name: value})
+    options = NewtonOptions(tol=1, epsilon=np.float32(0.5))
+    assert options.resolve_epsilon(None) == 0.5
 
 
 # -- the nonlinear solve ------------------------------------------------------
