@@ -9,8 +9,12 @@ lives inside one flat element, so its winding is a plain sum of wrapped
 angle increments; a vertex loop crosses element charts, and the angle
 defect of the vertex (times the symmetry order) compensates the curvature
 those flat charts cannot see.  Summed together, the two families account
-for every critical point, and their total equals the symmetry order times
-the Euler characteristic on closed surfaces.
+for every critical point.  On a closed surface their total is the symmetry
+order N times the Euler characteristic χ for any field, converged or not: each
+midpoint hop enters one triangle loop and one vertex loop with opposite
+signs, and the order-scaled angle defects sum to N·χ (discrete
+Gauss–Bonnet).  The one exception is a hop of exactly ±π, which wraps to
++π in both loops.  The total is therefore no sign of convergence.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ __all__ = [
     "edge_angles",
     "triangle_windings",
     "vertex_windings",
-    "winding_total",
     "extract_singularities",
     "poincare_hopf_check",
     "singularities_to_json",
@@ -177,17 +180,6 @@ def vertex_windings(mesh, tri_frames, field):
     winding[mesh.boundary_vertex] = 0
     interior = ~mesh.boundary_vertex
     return winding, float(residual[interior].max(initial=0.0))
-
-
-def winding_total(mesh, tri_frames, field):
-    """Sum of all triangle and interior-vertex windings.
-
-    For a converged field on a closed surface this equals the symmetry
-    order times the Euler characteristic, as an exact integer identity.
-    """
-    w_tri, _ = triangle_windings(mesh, tri_frames, field)
-    w_vert, _ = vertex_windings(mesh, tri_frames, field)
-    return int(w_tri.sum() + w_vert.sum())
 
 
 def extract_singularities(mesh, tri_frames, field):

@@ -589,9 +589,10 @@ def load_mesh(path):
         Structurally broken connectivity (non-manifold edge, degenerate
         triangle, inconsistent orientation).
 
-    Every message names the file.  A byte that is not UTF-8 decodes to a
-    lone surrogate: in a comment, an OBJ name or a skipped MSH section it
-    is ignored, and in a record it fails that record's parse.
+    Every message names the file.  A leading UTF-8 byte-order mark is
+    dropped.  A byte that is not UTF-8 decodes to a lone surrogate: in a
+    comment, an OBJ name or a skipped MSH section it is ignored, and in a
+    record it fails that record's parse.
     """
     path = Path(path)
     fmt = path.suffix.lstrip(".").lower()
@@ -600,7 +601,7 @@ def load_mesh(path):
         raise MeshLoadError(f"{path}: cannot detect mesh format {fmt!r}")
     try:
         vertices, faces = reader(path, path.read_text(
-            encoding="utf-8", errors="surrogateescape").splitlines())
+            encoding="utf-8-sig", errors="surrogateescape").splitlines())
         if len(faces) == 0:
             raise MeshLoadError(f"{path}: mesh file contains no facets")
         return (SurfaceMesh if faces.shape[1] == 3 else QuadMesh)(vertices, faces)

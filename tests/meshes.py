@@ -1,9 +1,11 @@
-"""Mesh generators and file writers shared by the test suite."""
+"""Mesh generators, file writers and the winding sum shared by the test
+suite."""
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay
 
-from crossfield import QuadMesh, SurfaceMesh
+from crossfield import (QuadMesh, SurfaceMesh, triangle_windings,
+                        vertex_windings)
 
 
 def octahedron():
@@ -389,3 +391,12 @@ def surface(generator, *args, **kwargs):
 def quad(generator, *args, **kwargs):
     verts, quads = generator(*args, **kwargs)
     return QuadMesh(verts, quads)
+
+
+def winding_sum(mesh, tri_frames, field):
+    """Sum of all triangle and interior-vertex windings.  On a closed
+    surface it is the symmetry order times the Euler characteristic for any
+    field with no midpoint hop of exactly ±pi."""
+    w_tri, _ = triangle_windings(mesh, tri_frames, field)
+    w_vert, _ = vertex_windings(mesh, tri_frames, field)
+    return int(w_tri.sum() + w_vert.sum())

@@ -10,8 +10,7 @@ from crossfield import (Discretization, QuadMesh, SurfaceMesh, audit,
                         constraint_dofs,
                         extract_singularities, fekete_optimize, gl_residual,
                         align_point_sets, mean_edge_length, newton_solve,
-                        poincare_hopf_check, tilt_sweep, topology_report,
-                        winding_total)
+                        poincare_hopf_check, tilt_sweep, topology_report)
 
 import meshes
 
@@ -206,7 +205,7 @@ def test_criterion_6_numerical_properties(sphere_cross, sphere_asterisk,
     # integer winding identity on every converged closed-surface run
     for case, expected in ((sphere_cross, 8), (sphere_asterisk, 12),
                            (torus_cross, 0)):
-        total = winding_total(case.mesh, case.tri_frames, case.field)
+        total = meshes.winding_sum(case.mesh, case.tri_frames, case.field)
         if total != expected:
             failures.append(f"winding total {total} != {expected}")
 

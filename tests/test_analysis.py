@@ -10,7 +10,7 @@ from crossfield import (FieldSolution, SurfaceMesh, edge_angles,
                         extract_singularities, poincare_hopf_check,
                         singularities_to_json,
                         triangle_frames, triangle_windings,
-                        vertex_windings, winding_total)
+                        vertex_windings)
 from crossfield import analysis
 from crossfield.mesh import _components
 
@@ -114,8 +114,7 @@ def test_synthetic_field_charge_bookkeeping():
     w_tri, flagged = triangle_windings(mesh, tf, field)
     w_vert, resid = vertex_windings(mesh, tf, field)
     assert resid < 0.1
-    assert int(w_tri.sum() + w_vert.sum()) == 8
-    assert winding_total(mesh, tf, field) == 8
+    assert meshes.winding_sum(mesh, tf, field) == 8
     assert not flagged.any()
 
     positions = [mesh.triangle_centroids()[t] for t in np.flatnonzero(w_tri)]
@@ -154,8 +153,8 @@ def test_sphere_cross_extraction(sphere_cross):
         sphere_cross.mesh, sphere_cross.tri_frames, sphere_cross.field)
     assert len(sings) == 8
     assert all(s.index == Fraction(1, 4) for s in sings)
-    assert winding_total(sphere_cross.mesh, sphere_cross.tri_frames,
-                         sphere_cross.field) == 8
+    assert meshes.winding_sum(sphere_cross.mesh, sphere_cross.tri_frames,
+                              sphere_cross.field) == 8
     report = poincare_hopf_check(sphere_cross.mesh, sings, sphere_cross.field)
     assert report.passed
     assert report.interior_sum == 2 == report.chi
@@ -172,16 +171,16 @@ def test_sphere_asterisk_extraction(sphere_asterisk):
                                      sphere_asterisk.field)
     assert len(sings) == 12
     assert all(s.index == Fraction(1, 6) for s in sings)
-    assert winding_total(sphere_asterisk.mesh, sphere_asterisk.tri_frames,
-                         sphere_asterisk.field) == 12
+    assert meshes.winding_sum(sphere_asterisk.mesh, sphere_asterisk.tri_frames,
+                              sphere_asterisk.field) == 12
     assert poincare_hopf_check(sphere_asterisk.mesh, sings,
                                sphere_asterisk.field).passed
 
 
 def test_torus_charge_balance(torus_cross):
     assert torus_cross.log.converged
-    assert winding_total(torus_cross.mesh, torus_cross.tri_frames,
-                         torus_cross.field) == 0
+    assert meshes.winding_sum(torus_cross.mesh, torus_cross.tri_frames,
+                              torus_cross.field) == 0
     sings, _ = extract_singularities(torus_cross.mesh, torus_cross.tri_frames,
                                      torus_cross.field)
     report = poincare_hopf_check(torus_cross.mesh, sings, torus_cross.field)
@@ -440,6 +439,6 @@ def test_random_hull_windings_sum_to_order_times_chi(n, order, seed):
     radius = rng.uniform(0.5, 1.5, mesh.n_edges)
     field = FieldSolution(order=order, epsilon=0.1, values=np.stack(
         [radius * np.cos(angle), radius * np.sin(angle)], axis=1))
-    assert winding_total(mesh, tf, field) == 2 * order
+    assert meshes.winding_sum(mesh, tf, field) == 2 * order
     sings, _ = extract_singularities(mesh, tf, field)
     assert poincare_hopf_check(mesh, sings, field).passed

@@ -45,6 +45,8 @@ def test_every_exported_name_resolves():
     ("crossfield.frames", "rotation_matrix"),
     ("crossfield", "angle_defects"),
     ("crossfield.analysis", "angle_defects"),
+    ("crossfield", "winding_total"),
+    ("crossfield.analysis", "winding_total"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)

@@ -608,6 +608,29 @@ def test_any_byte_outside_the_records_loads(tmp_path, fmt, stray):
     assert np.array_equal(mesh.triangles, clean.triangles)
 
 
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("fmt, write", [
+    ("off", meshes.write_off), ("obj", meshes.write_obj),
+    ("msh", meshes.write_msh22)])
+def test_a_byte_order_mark_is_dropped(tmp_path, fmt, write):
+    verts, tris = meshes.disk_hex(2)
+    plain = tmp_path / f"plain.{fmt}"
+    write(plain, verts, tris)
+    clean = load_mesh(plain)
+    mesh = _load_bytes(tmp_path / f"marked.{fmt}", BOM + plain.read_bytes())
+    assert mesh.vertices.tobytes() == clean.vertices.tobytes()
+    assert np.array_equal(mesh.triangles, clean.triangles)
+
+
+def test_a_marked_binary_msh_is_rejected(tmp_path):
+    data = BOM + (MSH_START.replace("2.2 0 8", "2.2 1 8") + THREE_NODES
+                  + ONE_TRIANGLE).encode()
+    with pytest.raises(MeshLoadError, match="binary.msh: binary MSH"):
+        _load_bytes(tmp_path / "binary.msh", data)
+
+
 @pytest.mark.parametrize("fmt, message", [
     ("msh", "could not convert string"), ("obj", ":3: bad vertex record"),
     ("off", "could not convert string")])
