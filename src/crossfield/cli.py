@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -43,14 +44,28 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
+@contextmanager
+def _naming(path):
+    """Name the file ``path`` in a mesh error raised past its load, as
+    ``load_mesh`` names it in every error of its own."""
+    try:
+        yield
+    except InvalidMeshError as exc:
+        raise InvalidMeshError(f"{path}: {exc}") from exc
+
+
 def _cmd_topology(args):
-    report = topology_report(load_mesh(args.mesh))
+    mesh = load_mesh(args.mesh)
+    with _naming(args.mesh):
+        report = topology_report(mesh)
     print(_dump(report.to_dict()))
     return 0
 
 
 def _cmd_audit(args):
-    result = audit(load_mesh(args.mesh))
+    mesh = load_mesh(args.mesh)
+    with _naming(args.mesh):
+        result = audit(mesh)
     print(_dump(result.to_dict()))
     return 0 if result.consistent else 3
 
@@ -67,14 +82,15 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
     mesh = load_mesh(mesh_path)
     if not isinstance(mesh, SurfaceMesh):
         raise MeshLoadError(f"{mesh_path}: solver requires a triangle mesh")
-    topo = topology_report(mesh)
-    timings["load"] = time.perf_counter() - t0
+    with _naming(mesh_path):
+        topo = topology_report(mesh)
+        timings["load"] = time.perf_counter() - t0
 
-    options = NewtonOptions(tol=tol, max_iter=max_iter, epsilon=epsilon,
-                            rng_seed=seed)
-    t0 = time.perf_counter()
-    field, log = newton_solve(mesh, order=symmetry, options=options)
-    timings["solve"] = time.perf_counter() - t0
+        options = NewtonOptions(tol=tol, max_iter=max_iter, epsilon=epsilon,
+                                rng_seed=seed)
+        t0 = time.perf_counter()
+        field, log = newton_solve(mesh, order=symmetry, options=options)
+        timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     tri_frames = triangle_frames(mesh, symmetry)

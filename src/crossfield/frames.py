@@ -88,28 +88,28 @@ class TriangleFrames:
         return k
 
     def hermitian_blocks(self, s):
-        """``blocks_to_edges(s, 0.0, s)`` as ``[[a, u], [b, a]]`` without the
-        products of its zero block: the complex blocks ``a + i*b``, (T, 3,
-        3), which act on ``z = f1 + i*f2`` as the rotation acts on ``(f1,
-        f2)``, and the upper-right blocks ``u``.  Each corner product is
-        formed once; ``u`` is ``-b`` but for the signs of exact zeros."""
+        """The complex blocks ``a + i*b``, (T, 3, 3), of ``blocks_to_edges(s,
+        0.0, s) = [[a, -b], [b, a]]``, which act on ``z = f1 + i*f2`` as the
+        rotation acts on ``(f1, f2)``, formed without the products of the
+        zero block."""
         left_c, left_s = self.cos[:, :, None] * s, self.sin[:, :, None] * s
         cj, sj = self.cos[:, None, :], self.sin[:, None, :]
-        cs, sc = left_c * sj, left_s * cj
+        h = np.empty(s.shape, dtype=complex)
+        np.subtract(left_s * cj, left_c * sj, out=h.imag)
         # a product read once is formed in place: fresh pages cost more
         # than the arithmetic
-        h = np.empty(s.shape, dtype=complex)
         np.add(np.multiply(left_c, cj, out=left_c),
                np.multiply(left_s, sj, out=left_s), out=h.real)
-        np.subtract(sc, cs, out=h.imag)
-        return h, np.subtract(cs, sc, out=cs)
+        return h
 
 
 def _normalize(v, what, tol=1e-14):
-    """The component triple ``v`` over its norm."""
+    """The component triple ``v`` over its norm; a norm below ``tol`` times
+    the largest one cannot be normalised."""
     nrm = _norm(v)
-    if np.any(nrm < tol):
-        bad = np.flatnonzero(nrm < tol)[:5]
+    small = nrm < tol * nrm.max()
+    if small.any():
+        bad = np.flatnonzero(small)[:5]
         raise InvalidMeshError(f"cannot normalise {what} at {bad.tolist()}")
     return v / nrm
 

@@ -140,6 +140,13 @@ def _components(pairs, n):
     return connected_components(graph, directed=False)
 
 
+#: The range of a triangle mesh's coordinate scale, its largest coordinate
+#: difference along a triangle side.  The geometry squares cross products of
+#: sides, so the fourth power of every side length, at most sqrt(3) times
+#: the scale, must be a normal double.
+_SCALE_RANGE = (np.finfo(float).tiny ** 0.25, (np.finfo(float).max / 9.0) ** 0.25)
+
+
 class _FacetMesh:
     """Shared connectivity machinery of triangle and quad meshes."""
 
@@ -210,7 +217,8 @@ class SurfaceMesh(_FacetMesh):
 
     Triangles must be counterclockwise with respect to the outward normal
     and consistently oriented; construction validates orientability,
-    manifoldness, and rejects degenerate (zero-area) triangles.  All arrays
+    manifoldness, and rejects degenerate (zero-area) triangles and a
+    coordinate scale outside ``_SCALE_RANGE``.  All arrays
     are immutable after construction, so instances are safe to share across
     threads; ``edge_frames`` is built on first use, and two threads that
     first read it at once may each build the same frames.
@@ -226,9 +234,16 @@ class SurfaceMesh(_FacetMesh):
     def __init__(self, vertices, triangles):
         super().__init__(vertices, triangles, "triangles", 3)
         p = np.take(self.vertices.T, self.facets.T, axis=1)  # [xyz, corner, t]
+        with np.errstate(over="ignore"):  # an infinite side is out of range
+            sides = np.take(p, [1, 2, 0], axis=1) - p  # side i: corner i to i+1
+        scale, (low, high) = np.abs(sides).max(), _SCALE_RANGE
+        if 0.0 < scale < low or scale > high:
+            raise InvalidMeshError(
+                f"coordinate scale {scale:.3g} (largest coordinate difference "
+                f"along a side) is outside [{low:.3g}, {high:.3g}], where the "
+                "fourth power of every edge length is a normal double")
         cross = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         two_area = _norm(cross)
-        sides = np.take(p, [1, 2, 0], axis=1) - p  # side i: corner i to i+1
         lengths = _norm(sides)
         self.triangle_areas = 0.5 * two_area
         degenerate = self.triangle_areas <= 1e-12 * lengths.max(axis=0)**2
@@ -587,7 +602,8 @@ def load_mesh(path):
         triangles and quadrangles (mixed-element meshes are excluded).
     InvalidMeshError
         Structurally broken connectivity (non-manifold edge, degenerate
-        triangle, inconsistent orientation).
+        triangle, inconsistent orientation) or an out-of-range coordinate
+        scale.
 
     Every message names the file.  A leading UTF-8 byte-order mark is
     dropped.  A byte that is not UTF-8 decodes to a lone surrogate: in a

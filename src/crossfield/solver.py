@@ -22,19 +22,19 @@ sharpened, unless it is stationary already, by a few smooth-and-renormalise
 sweeps that let the vortex structure settle.  In edge frames the stiffness
 is ``[[A, -B], [B, A]]``: on ``z = f1 + i*f2`` it is the Hermitian edge
 Laplacian ``H = A + iB`` (Knoeppel et al. 2013).  Every real matrix is
-assembled into one pattern, ``H``'s in each block, through one slot map.
-A mesh with boundary takes the factor of ``H`` for its warm start, at a
-quarter of the fill; only a closed surface builds the real stiffness, for
-its warm-start factor, since its chaotic Newton path moves with the start's
-last bits.  Newton steps follow, built from the exact second derivative
-of the energy (real: its penalty curvature acts on the conjugate of ``z``
-too).  Each factors the symmetric free-dof Hessian once, with pivots taken
-on the diagonal, through the solve's one free-dof system (``_FreeSystem``),
-whose first real factor orders every later one; a step larger than
-``STEP_CAP`` in any component is scaled down to it.  Convergence is tested
-on the 2-norm of the exact energy gradient, from the warm start's first
-projection on, never on the linearised residual, so a converged field is a
-genuine stationary point of the functional.
+assembled into one pattern, ``H``'s in each block, through one slot map,
+from element matrices rotated by one kernel, ``blocks_to_edges``.  A mesh
+with boundary factors ``H`` for its warm start, at a quarter of the fill;
+only a closed surface builds the real stiffness, for its warm-start factor,
+since its chaotic Newton path moves with the start's last bits.  Newton
+steps follow, built from the exact second derivative of the energy (real:
+its penalty curvature acts on the conjugate of ``z`` too).  Each factor,
+with pivots on the diagonal, gathers its free block through a free-dof
+system (``_FreeSystem``); the solve's first real factor orders every later
+one.  A step larger than ``STEP_CAP`` in any component is scaled down to
+it.  Convergence is tested on the 2-norm of the exact energy gradient, from
+the warm start's first projection on, never on the linearised residual, so
+a converged field is a genuine stationary point of the functional.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ class Discretization:
         """The stiffness ``[[A, -B], [B, A]]`` as the Hermitian edge
         Laplacian ``H = A + iB`` (CSR), which acts on ``z = f1 + i*f2``;
         built on first use, explicit zeros included."""
-        h, _ = self.tri_frames.hermitian_blocks(self.stiffness_blocks)
+        h = self.tri_frames.hermitian_blocks(self.stiffness_blocks)
         edges, n_e = self.mesh.facet_edges, self.mesh.n_edges
         return coo_matrix((h.ravel(), (np.repeat(edges, 3, axis=1).ravel(),
                                        np.tile(edges, (1, 3)).ravel())),
@@ -321,14 +321,11 @@ class Discretization:
 
     @cached_property
     def stiffness(self):
-        """The real stiffness (CSR): its element matrices ``[[Re h, u],
-        [Im h, Re h]]`` from ``hermitian_blocks`` assembled on first use,
-        for a closed surface's warm-start factor."""
-        h, u = self.tri_frames.hermitian_blocks(self.stiffness_blocks)
-        k = np.empty((len(h), 6, 6))
-        k[:, :3, :3] = k[:, 3:, 3:] = h.real
-        k[:, :3, 3:], k[:, 3:, :3] = u, h.imag
-        return self._matrix(k)
+        """The real stiffness (CSR), assembled on first use, for a closed
+        surface's warm-start factor: the element blocks rotated like every
+        Newton system's, with a zero off-diagonal block."""
+        s = self.stiffness_blocks
+        return self._matrix(self.tri_frames.blocks_to_edges(s, 0.0, s))
 
     def newton_system(self, x, epsilon):
         """Assembled Newton system ``(K, B)`` about the field ``x``.
@@ -433,16 +430,16 @@ def _splu(block, permc_spec):
 
 
 class _FreeSystem:
-    """The free-dof system of one solve: the entry positions of the
-    free/free block (CSC) and of the free/constrained block (CSR) of any
-    matrix with the CSR pattern of ``pattern``, the free ``dofs`` in the
-    order of the blocks' rows and columns, and the constrained values.
+    """A free-dof system: the entry positions of the free/free block (CSC)
+    and of the free/constrained block (CSR) of any matrix with the CSR
+    pattern of ``pattern``, the free ``dofs`` in the order of the blocks'
+    rows and columns, and the constrained values.
 
-    The solve's first real factor orders every later one.  The first
-    ``factor`` orders its block symmetrically (minimum degree on ``A +
+    A solve's real system lets its first factor order every later one.  The
+    first ``factor`` orders its block symmetrically (minimum degree on ``A +
     A^T``, which reads only the pattern that every matrix of the solve
-    shares) and keeps a copy of its ``perm_c``: ``lu.perm_c`` is a view that
-    keeps the whole factor alive.  The next renumbers the maps into that
+    shares) and keeps a copy of its ``perm_c``: ``lu.perm_c`` is a view
+    that keeps the whole factor alive.  The next renumbers the maps into that
     elimination order, and it and every later factor take the block as it
     stands.  The free/free block takes the columns in that order and
     renumbers its rows, but each column keeps its rows in ascending dof
@@ -460,11 +457,11 @@ class _FreeSystem:
         self.permc_spec = "MMD_AT_PLUS_A"
 
     def factor(self, matrix):
-        """LU factors of the free/free block of the symmetric CSR ``matrix``
+        """LU factors of the free/free block of the Hermitian CSR ``matrix``
         and the constrained values' contribution ``K_fc @ values_c``, which
         moves to the right-hand side, both in the order of ``dofs``.  Pivots
-        are taken on the diagonal, so on a nonsingular symmetric block the
-        factor is an ``L D L^T`` in disguise: ``perm_r == perm_c`` and the
+        are taken on the diagonal, so on a nonsingular Hermitian block the
+        factor is an ``L D L^H`` in disguise: ``perm_r == perm_c`` and the
         signs of ``U.diagonal()`` are the signs of the block's eigenvalues.
         """
         if self.perm_c is not None and self.permc_spec != "NATURAL":
@@ -491,21 +488,18 @@ class _FreeSystem:
 def _factor_hermitian(hermitian, mask, values):
     """The pair of ``lu.solve`` and bound that ``_FreeSystem.factor`` gives
     for the stiffness ``[[A, -B], [B, A]]``, over the free dofs in dof order,
-    from the LU factors of the free/free block of ``hermitian``, ``H = A +
-    iB``, which acts on ``z = f1 + i*f2`` as the stiffness acts on ``(f1,
-    f2)``, and from ``H_fc @ z_c``.  The block keeps ``H``'s pattern,
-    explicit zeros included: minimum degree orders the thinner pattern of
-    ``A + 1j * B`` into a slower factor."""
+    from the free-dof system of ``hermitian``, ``H = A + iB``, which acts on
+    ``z = f1 + i*f2`` as the stiffness acts on ``(f1, f2)``: its mask is the
+    edge half of ``mask`` and its values are ``z_c = c1 + i*c2``.  Its one
+    factor keeps ``H``'s pattern, explicit zeros included: minimum degree
+    orders the thinner pattern of ``A + 1j * B`` into a slower factor."""
     n_e = hermitian.shape[0]
-    free = np.flatnonzero(~mask)
-    edges = free[:len(free) // 2]
-    rows = hermitian[edges]
-    lu = _splu(rows[:, edges].tocsc(), "MMD_AT_PLUS_A")
-    fixed = np.where(mask, values, 0.0)
-    bound = rows @ (fixed[:n_e] + 1j * fixed[n_e:])
+    system = _FreeSystem(hermitian, mask[:n_e], values[:n_e] + 1j * values[n_e:])
+    lu, bound = system.factor(hermitian)
+    n_free = len(system.dofs)
 
     def solve(rhs):
-        z = lu.solve(rhs[:len(edges)] + 1j * rhs[len(edges):])
+        z = lu.solve(rhs[:n_free] + 1j * rhs[n_free:])
         return np.concatenate([z.real, z.imag])
     return solve, np.concatenate([bound.real, bound.imag])
 

@@ -471,14 +471,41 @@ def test_negative_seed_exits_2(capsys, request, tmp_path, mesh):
 
 
 def test_pinched_boundary_exits_2(capsys, tmp_path):
+    """A mesh error past the load names the file once, as a load error
+    does."""
     path = tmp_path / "bowtie.off"
     path.write_text("OFF\n5 2 0\n0 0 0\n1 0 0\n1 1 0\n-1 0 0\n-1 -1 0\n"
                     "3 0 1 2\n3 0 3 4\n")
+    for argv in (["topology", str(path)], ["audit", str(path)],
+                 ["solve", "--mesh", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: boundary does not close")
+        assert err.count(str(path)) == 1
+
+
+def test_two_components_exit_2_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "two.off"
+    path.write_text("OFF\n6 2 0\n0 0 0\n1 0 0\n0 1 0\n5 0 0\n6 0 0\n5 1 0\n"
+                    "3 0 1 2\n3 3 4 5\n")
+    code, out, err = run_cli(capsys, "solve", "--mesh", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {path}: solver requires a single connected "
+                   "component, found 2\n")
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-160])
+def test_out_of_range_coordinate_scale_exits_2(capsys, tmp_path, scale):
+    verts, tris = meshes.square_grid_tri(4)
+    path = tmp_path / "scaled.off"
+    meshes.write_off(path, verts * scale, tris)
     for argv in (["topology", str(path)], ["solve", "--mesh", str(path)]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "boundary does not close" in err
+        assert err.startswith(f"error: {path}: coordinate scale")
 
 
 def test_solve_rejects_quads_and_bad_flags(capsys, tmp_path):

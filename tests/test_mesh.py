@@ -1,5 +1,6 @@
 import logging
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -685,6 +686,19 @@ def test_angle_defects_are_stored_once(mesh):
 def test_coincident_vertices_are_degenerate():
     with pytest.raises(InvalidMeshError, match="degenerate"):
         SurfaceMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-160])
+def test_out_of_range_coordinate_scale_is_rejected(scale):
+    """A mesh whose edge lengths have fourth powers outside the normal
+    doubles is rejected by its coordinate scale, before any product of the
+    geometry overflows or underflows: not as a fold-over or as degenerate,
+    and with no warning."""
+    verts, tris = meshes.golden_spiral_sphere(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMeshError, match="coordinate scale"):
+            SurfaceMesh(verts * scale, tris)
 
 
 @pytest.mark.parametrize("n", range(20, 81, 15))

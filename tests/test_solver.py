@@ -294,8 +294,10 @@ def test_solve_call_structure(monkeypatch):
 
     The solve's first real factor orders it: the warm start's on a closed
     surface, the first Newton step's on a mesh with boundary, whose warm
-    start factors the complex Hermitian block.  The free-dof system is built
-    once, for that factor, and renumbered once, by the next one."""
+    start factors the complex Hermitian block.  The real free-dof system is
+    built once, for that factor, and renumbered once, by the next one.  A
+    mesh with boundary also builds one for the Hermitian block, whose one
+    factor is never renumbered."""
     from crossfield import solver
 
     calls = _count_calls(monkeypatch, [
@@ -332,7 +334,7 @@ def test_solve_call_structure(monkeypatch):
     assert calls == {"newton_system": steps, "residual": steps + 2,
                      "energy": steps, "_quadrature": steps + 2,
                      "splu": steps + 1}
-    assert systems == {"builds": 1, "renumberings": 1}
+    assert systems == {"builds": 2, "renumberings": 1}
     assert [spec for spec, _ in orderings] == (
         ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A"] + ["NATURAL"] * (steps - 1))
     assert [kind for _, kind in orderings] == ["c"] + ["f"] * steps
@@ -344,7 +346,7 @@ def test_solve_call_structure(monkeypatch):
     field, log = newton_solve(mesh, 4, NewtonOptions(tol=1e-12))
     assert log.converged and log.iterations == 0
     assert calls == {"residual": 1, "_quadrature": 1, "splu": 1}
-    assert systems == {"builds": 0, "renumberings": 0}
+    assert systems == {"builds": 1, "renumberings": 0}
     assert orderings == [("MMD_AT_PLUS_A", "c")]
 
 
@@ -564,9 +566,10 @@ def test_stationary_warm_start_takes_no_step(monkeypatch, generator, n):
                          ids=["lshape", "square"])
 def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
     """A stationary first projection ends the warm start: no sweep, no
-    lumped mass, and no free-dof system built or factored for a step that
-    never comes.  The field is one solve of the factored Hermitian block,
-    projected, and within rounding of one solve of the real block."""
+    lumped mass, and one free-dof system, the Hermitian block's, built and
+    factored once; none is built for a step that never comes.  The field is
+    one solve of the factored Hermitian block, projected, and within
+    rounding of one solve of the real block."""
     mesh = meshes.surface(generator, n)
     options = NewtonOptions(tol=1e-12)
     calls = _count_calls(monkeypatch, [
@@ -574,7 +577,7 @@ def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
         (_FreeSystem, "factor"), (Discretization, "lumped_mass")])
     field, log = newton_solve(mesh, 4, options)
     assert log.converged and log.iterations == 0
-    assert calls == {"_project": 1}
+    assert calls == {"_project": 1, "__init__": 1, "factor": 1}
     monkeypatch.undo()
 
     disc = Discretization(mesh, 4)
@@ -592,12 +595,12 @@ def test_stationary_warm_start_skips_the_sweeps(monkeypatch, generator, n):
 
 
 def test_bounded_warm_start_sweeps_match_the_hermitian_reference(monkeypatch):
-    """Without a free-dof system the warm start factors the Hermitian block:
-    a start far from stationary (a first gradient above ``far``) runs every
-    sweep through it with the bits of the reference loop and builds no
-    free-dof system.  Ten projected sweeps keep the field
-    within 1e-11 of the real factor's, on the flat disk and on the curved
-    saddle."""
+    """Without a real free-dof system the warm start factors the Hermitian
+    block: a start far from stationary (a first gradient above ``far``) runs
+    every sweep through it with the bits of the reference loop and builds
+    one free-dof system, the Hermitian block's.  Ten projected sweeps keep
+    the field within 1e-11 of the real factor's, on the flat disk and on the
+    curved saddle."""
     for generator, far in ((meshes.disk_hex, 1.0), (meshes.saddle_tri, 1e-2)):
         mesh = meshes.surface(generator, 8)
         disc = Discretization(mesh, 4)
@@ -607,7 +610,8 @@ def test_bounded_warm_start_sweeps_match_the_hermitian_reference(monkeypatch):
                                            (solver_module, "_project"),
                                            (_FreeSystem, "__init__")])
         x, residual = _warm_start(disc, mask, cvalues, None, 0.3, options.tol)
-        assert calls == {"lumped_mass": 1, "_project": WARMUP_ROUNDS + 1}
+        assert calls == {"lumped_mass": 1, "_project": WARMUP_ROUNDS + 1,
+                         "__init__": 1}
         monkeypatch.undo()
 
         assert hermitian_warm_start(disc, mask, cvalues, 0.3, 0)[1] > far
@@ -638,12 +642,16 @@ STIFFNESS_FAMILIES = {
        seed=st.integers(0, 2**16), order=st.sampled_from([4, 6]))
 def test_stiffness_is_the_hermitian_edge_laplacian(name, k, seed, order):
     """The stiffness is ``[[A, -B], [B, A]]`` on one stored pattern: its
-    diagonal blocks are equal bit for bit and its upper-right block is the
-    negated lower-left one value for value (zeros may differ in sign).  So
-    ``H = A + iB`` is the same operator on half the unknowns.  The directly
-    assembled ``hermitian`` has ``A``'s pattern and the bits of ``A`` and
-    ``B``, signs of zero included, and the block that the warm start
-    factors keeps the pattern's entries, explicit zeros included, which
+    diagonal blocks are equal and its upper-right block is the negated
+    lower-left one, value for value (zeros may differ in sign).  So ``H = A
+    + iB`` is the same operator on half the unknowns.  The directly
+    assembled ``hermitian`` has ``A``'s pattern and the values of ``A`` and
+    ``B``.  On a closed surface both diagonal blocks and ``H``'s parts keep
+    the same bits, signs of zero included; with a boundary, exact zeros may
+    differ in sign, since the stiffness's rotation forms the products of its
+    zero block and ``H``'s does not.  The warm start's free-dof system
+    gathers the block and bound that SciPy slices out of ``H``, bit for bit:
+    the block keeps the pattern's entries, explicit zeros included, which
     SciPy's ``A + 1j * B`` would drop."""
     mesh = SurfaceMesh(*STIFFNESS_FAMILIES[name](k, seed))
     disc = Discretization(mesh, order)
@@ -654,12 +662,12 @@ def test_stiffness_is_the_hermitian_edge_laplacian(name, k, seed, order):
     for block in (minus_b, b, d, hermitian):
         assert np.array_equal(block.indptr, a.indptr)
         assert np.array_equal(block.indices, a.indices)
-    assert a.data.tobytes() == d.data.tobytes()
     assert np.array_equal(minus_b.data, -b.data)
-    for got, want in ((hermitian.data.real, a.data),
+    for got, want in ((d.data, a.data), (hermitian.data.real, a.data),
                       (hermitian.data.imag, b.data)):
         assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        if mesh.is_closed():
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     mask, values, _ = constraint_dofs(mesh, NewtonOptions(rng_seed=seed))
     factored = []
@@ -675,9 +683,17 @@ def test_stiffness_is_the_hermitian_edge_laplacian(name, k, seed, order):
         solver_module.splu = original
     edges = np.flatnonzero(~mask[:n_e])
     [block] = factored
+    rows = hermitian[edges]
+    sliced = rows[:, edges].tocsc()
     assert block.dtype == complex and block.nnz == a[edges][:, edges].nnz
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(block, attr).tobytes() == getattr(sliced, attr).tobytes()
     if name == "lshape":  # right triangles give entries zero in A and B
         assert (a + 1j * b)[edges][:, edges].nnz < block.nnz
+    fixed = np.where(mask, values, 0.0)
+    sliced_bound = rows @ (fixed[:n_e] + 1j * fixed[n_e:])
+    assert bound.tobytes() == np.concatenate(
+        [sliced_bound.real, sliced_bound.imag]).tobytes()
 
     free = ~mask
     reduced = stiffness[free][:, free]
@@ -764,6 +780,19 @@ def test_planar_delaunay_square_solves_to_transported_constant(monkeypatch, seed
     assert len(boundary_loops(mesh)) == 1
     exact = transported_constant(mesh, 4)
     assert np.abs(field.values - exact).max() < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-70, 1e70])
+def test_in_range_coordinate_scales_solve_as_at_unit_scale(scale):
+    """With epsilon auto the energy does not depend on the mesh's size: a
+    sphere scaled far inside the coordinate scales that ``SurfaceMesh``
+    accepts builds its frames and takes the unit sphere's steps to its
+    field."""
+    verts, tris = meshes.golden_spiral_sphere(100)
+    unit, unit_log = newton_solve(SurfaceMesh(verts, tris), 4)
+    field, log = newton_solve(SurfaceMesh(verts * scale, tris), 4)
+    assert log.converged and log.iterations == unit_log.iterations
+    assert np.abs(field.values - unit.values).max() < 1e-9
 
 
 def test_huge_epsilon_recovers_smoothing_solution():
@@ -1002,8 +1031,9 @@ def newton_in_elimination_order(request, sphere_mesh):
 
     On the sphere the warm start's factor of the stiffness orders the solve
     and the next system is the first Newton system.  A mesh with boundary
-    factors the Hermitian block for its warm start, so a solve of one Newton
-    step orders it and the next system is the second Newton system: the
+    factors the Hermitian block for its warm start, through a free-dof
+    system of its own, so a solve of one Newton step orders the second
+    system and the next system is the second Newton system: the
     disk steps from its warm start, and the L-shape, whose aligned start is
     stationary to rounding, steps under a tolerance below that rounding.
     """
@@ -1023,7 +1053,8 @@ def newton_in_elimination_order(request, sphere_mesh):
 
     def recorded(self, matrix):
         lu, bound = factor(self, matrix)
-        factors.append(lu)
+        if matrix.dtype == float:  # the real factors; H's orders nothing
+            factors.append(lu)
         return lu, bound
     _FreeSystem.__init__, _FreeSystem.factor = built, recorded
     try:
@@ -1035,7 +1066,8 @@ def newton_in_elimination_order(request, sphere_mesh):
             field, log = newton_solve(mesh, int(order), NewtonOptions(
                 epsilon=0.1, tol=tol, max_iter=1))
             assert log.iterations == 1 and log.residuals[0] > tol
-            [system] = systems
+            hermitian, system = systems
+            assert hermitian.values.dtype == complex
             x = disc.vector_from_values(field.values)
     finally:
         _FreeSystem.__init__, _FreeSystem.factor = init, factor
