@@ -14,7 +14,8 @@ order N times the Euler characteristic χ for any field, converged or not: each
 midpoint hop enters one triangle loop and one vertex loop with opposite
 signs, and the order-scaled angle defects sum to N·χ (discrete
 Gauss–Bonnet).  The one exception is a hop of exactly ±π, which wraps to
-+π in both loops.  The total is therefore no sign of convergence.
++π in both loops.  The total is therefore no sign of convergence.  Each
+function builds its transport phases as ``triangle_frames(mesh, field.order)``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .frames import triangle_frames
 from .mesh import _components, topology_report
 
 __all__ = [
@@ -113,14 +115,15 @@ def _wrap(angle):
     return np.where(out == -np.pi, np.pi, out)
 
 
-def _common_frame_angles(mesh, tri_frames, field):
+def _common_frame_angles(mesh, field):
     """Angle of each edge's representation vector in its triangles' frames."""
     values = field.values[mesh.facet_edges]
-    g1, g2 = tri_frames.to_shared(values[..., 0], values[..., 1])
+    g1, g2 = triangle_frames(mesh, field.order).to_shared(
+        values[..., 0], values[..., 1])
     return np.arctan2(g2, g1)
 
 
-def triangle_windings(mesh, tri_frames, field):
+def triangle_windings(mesh, field):
     """Integer winding of the representation vector around every triangle.
 
     The loop passes through the triangle's three edge midpoints; the three
@@ -129,8 +132,7 @@ def triangle_windings(mesh, tri_frames, field):
     near-zero norm, in which case the winding is still computed from the
     angle data but is not individually meaningful.
     """
-    return _triangle_windings(
-        mesh, _common_frame_angles(mesh, tri_frames, field), field)
+    return _triangle_windings(mesh, _common_frame_angles(mesh, field), field)
 
 
 def _triangle_windings(mesh, phi, field):
@@ -161,7 +163,7 @@ def _vertex_turns(mesh, phi, order):
     return total / (2.0 * np.pi)
 
 
-def vertex_windings(mesh, tri_frames, field):
+def vertex_windings(mesh, field):
     """Integer winding around the midpoint polygon of each interior vertex.
 
     Each corner of the fan contributes the wrapped angle increment between
@@ -173,8 +175,7 @@ def vertex_windings(mesh, tri_frames, field):
     (a fraction of the order-scaled defects, far below 1/2 on any
     reasonable mesh).
     """
-    turns = _vertex_turns(mesh, _common_frame_angles(mesh, tri_frames, field),
-                          field.order)
+    turns = _vertex_turns(mesh, _common_frame_angles(mesh, field), field.order)
     winding = np.rint(turns).astype(np.int64)
     residual = np.abs(turns - winding)
     winding[mesh.boundary_vertex] = 0
@@ -182,7 +183,7 @@ def vertex_windings(mesh, tri_frames, field):
     return winding, float(residual[interior].max(initial=0.0))
 
 
-def extract_singularities(mesh, tri_frames, field):
+def extract_singularities(mesh, field):
     """All nonzero windings of the field, as indexed critical points, and
     the triangle windings of ``triangle_windings``, from one angle pass.
 
@@ -199,7 +200,7 @@ def extract_singularities(mesh, tri_frames, field):
     flagged.  Returns ``(singularities, winding)``, the singularities sorted
     by ``(index, triangle id)``.
     """
-    phi = _common_frame_angles(mesh, tri_frames, field)
+    phi = _common_frame_angles(mesh, field)
     w_tri, touches_zero = _triangle_windings(mesh, phi, field)
     turns = _vertex_turns(mesh, phi, field.order)
     norms = field.norms()

@@ -21,7 +21,6 @@ from .analysis import (extract_singularities, poincare_hopf_check,
 from .audit import audit
 from .fekete import (DEFAULT_SQUARE_HEIGHT, fekete_optimize,
                      log_interaction_energy, tilt_sweep)
-from .frames import triangle_frames
 from .mesh import (InvalidMeshError, MeshLoadError, SurfaceMesh, load_mesh,
                    mean_edge_length, topology_report)
 from .solver import (WARMUP_ROUNDS, NewtonOptions, SingularFactorError,
@@ -33,6 +32,13 @@ __all__ = ["main", "run_solve"]
 
 def _dump(data):
     return json.dumps(data, indent=2, sort_keys=True)
+
+
+def _finite(value):
+    """``value`` as a float, or None (JSON ``null``) when it is not finite:
+    strict JSON has no literal for NaN or infinity."""
+    value = float(value)
+    return value if np.isfinite(value) else None
 
 
 def _emit(text, path):
@@ -75,7 +81,8 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
     """Full pipeline: load, solve, extract singularities, certify, export.
 
     Returns ``(exit_code, report_dict)``; the report materialises every
-    default so that it fully determines a rerun.
+    default so that it fully determines a rerun, and holds a non-finite
+    residual or energy as None, written as ``null``.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -93,8 +100,7 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
         timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tri_frames = triangle_frames(mesh, symmetry)
-    singularities, windings = extract_singularities(mesh, tri_frames, field)
+    singularities, windings = extract_singularities(mesh, field)
     ph = poincare_hopf_check(mesh, singularities, field)
     energy = gl_energy(mesh, field)
     timings["analysis"] = time.perf_counter() - t0
@@ -116,15 +122,15 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
         "convergence": {
             "iterations": log.iterations,
             "converged": log.converged,
-            "final_residual": log.residuals[-1],
-            "residuals": list(log.residuals),
+            "final_residual": _finite(log.residuals[-1]),
+            "residuals": [_finite(r) for r in log.residuals],
         },
         "singularities": singularities_to_json(singularities),
         "poincare_hopf": ph.to_dict(),
         "energy": {
-            "smoothing": energy.smoothing,
-            "penalty": energy.penalty,
-            "total": energy.total,
+            "smoothing": _finite(energy.smoothing),
+            "penalty": _finite(energy.penalty),
+            "total": _finite(energy.total),
         },
         "timings": timings,
     }

@@ -103,11 +103,11 @@ class TriangleFrames:
         return h
 
 
-def _normalize(v, what, tol=1e-14):
-    """The component triple ``v`` over its norm; a norm below ``tol`` times
+def _normalize(v, what):
+    """The component triple ``v`` over its norm; a norm below 1e-14 times
     the largest one cannot be normalised."""
     nrm = _norm(v)
-    small = nrm < tol * nrm.max()
+    small = nrm < 1e-14 * nrm.max()
     if small.any():
         bad = np.flatnonzero(small)[:5]
         raise InvalidMeshError(f"cannot normalise {what} at {bad.tolist()}")

@@ -200,10 +200,6 @@ class _FacetMesh:
     def n_facets(self):
         return len(self.facets)
 
-    def edge_lengths(self):
-        return _norm((self.vertices[self.edges[:, 1]]
-                      - self.vertices[self.edges[:, 0]]).T)
-
     def is_closed(self):
         return not self.boundary_edge.any()
 
@@ -406,9 +402,8 @@ def topology_report(mesh):
 
 def mean_edge_length(mesh):
     """Arithmetic mean of the Euclidean edge lengths."""
-    if mesh.n_edges == 0:
-        raise InvalidMeshError("mesh has no edges")
-    return float(mesh.edge_lengths().mean())
+    return float(_norm((mesh.vertices[mesh.edges[:, 1]]
+                        - mesh.vertices[mesh.edges[:, 0]]).T).mean())
 
 
 # ---------------------------------------------------------------------------

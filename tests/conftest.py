@@ -3,14 +3,13 @@ import time
 import numpy as np
 import pytest
 
-from crossfield import NewtonOptions, newton_solve, triangle_frames
+from crossfield import NewtonOptions, newton_solve
 
 import meshes
 
 
 class SolvedCase:
-    """A mesh with a converged field and its triangle frames, shared
-    across tests."""
+    """A mesh with a converged field, shared across tests."""
 
     def __init__(self, mesh, order, options):
         self.mesh = mesh
@@ -19,7 +18,6 @@ class SolvedCase:
         start = time.perf_counter()
         self.field, self.log = newton_solve(mesh, order, options)
         self.solve_seconds = time.perf_counter() - start
-        self.tri_frames = triangle_frames(mesh, order)
 
 
 @pytest.fixture(scope="session")

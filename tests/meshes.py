@@ -393,10 +393,10 @@ def quad(generator, *args, **kwargs):
     return QuadMesh(verts, quads)
 
 
-def winding_sum(mesh, tri_frames, field):
+def winding_sum(mesh, field):
     """Sum of all triangle and interior-vertex windings.  On a closed
     surface it is the symmetry order times the Euler characteristic for any
     field with no midpoint hop of exactly ±pi."""
-    w_tri, _ = triangle_windings(mesh, tri_frames, field)
-    w_vert, _ = vertex_windings(mesh, tri_frames, field)
+    w_tri, _ = triangle_windings(mesh, field)
+    w_vert, _ = vertex_windings(mesh, field)
     return int(w_tri.sum() + w_vert.sum())

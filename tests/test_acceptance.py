@@ -30,8 +30,7 @@ def aligned_gap(singularities, count, seed=0):
 
 def test_criterion_1_sphere_cross_field(sphere_cross):
     log = sphere_cross.log
-    sings, _ = extract_singularities(
-        sphere_cross.mesh, sphere_cross.tri_frames, sphere_cross.field)
+    sings, _ = extract_singularities(sphere_cross.mesh, sphere_cross.field)
     index_sum = sum((s.index for s in sings), Fraction(0))
     chi = topology_report(sphere_cross.mesh).chi
     ok = (log.converged
@@ -48,8 +47,7 @@ def test_criterion_1_sphere_cross_field(sphere_cross):
 
 
 def test_criterion_2_anticube_geometry(sphere_cross):
-    sings, _ = extract_singularities(
-        sphere_cross.mesh, sphere_cross.tri_frames, sphere_cross.field)
+    sings, _ = extract_singularities(sphere_cross.mesh, sphere_cross.field)
     tolerance = 2 * mean_edge_length(sphere_cross.mesh)
     gap = aligned_gap(sings, 8)
 
@@ -66,7 +64,6 @@ def test_criterion_2_anticube_geometry(sphere_cross):
 def test_criterion_3_asterisk_field(sphere_asterisk):
     log = sphere_asterisk.log
     sings, _ = extract_singularities(sphere_asterisk.mesh,
-                                     sphere_asterisk.tri_frames,
                                      sphere_asterisk.field)
     index_sum = sum((s.index for s in sings), Fraction(0))
     tolerance = 2 * mean_edge_length(sphere_asterisk.mesh)
@@ -83,7 +80,6 @@ def test_criterion_3_asterisk_field(sphere_asterisk):
 
 def test_criterion_4_bounded_domains(square_cross, lshape_cross, disk_cross):
     square_sings, _ = extract_singularities(square_cross.mesh,
-                                            square_cross.tri_frames,
                                             square_cross.field)
     square_ph = poincare_hopf_check(square_cross.mesh, square_sings,
                                     square_cross.field)
@@ -91,14 +87,12 @@ def test_criterion_4_bounded_domains(square_cross, lshape_cross, disk_cross):
                  and square_ph.corner_sum == 1)
 
     lshape_sings, _ = extract_singularities(lshape_cross.mesh,
-                                            lshape_cross.tri_frames,
                                             lshape_cross.field)
     lshape_ph = poincare_hopf_check(lshape_cross.mesh, lshape_sings,
                                     lshape_cross.field)
     lshape_ok = lshape_ph.interior_sum + lshape_ph.corner_sum == 1
 
-    disk_sings, _ = extract_singularities(
-        disk_cross.mesh, disk_cross.tri_frames, disk_cross.field)
+    disk_sings, _ = extract_singularities(disk_cross.mesh, disk_cross.field)
     disk_sum = sum((s.index for s in disk_sings), Fraction(0))
     # disk diameter 2; the coherence length used is within the stated bound
     disk_ok = (disk_cross.field.epsilon <= 0.15 * 2.0
@@ -205,7 +199,7 @@ def test_criterion_6_numerical_properties(sphere_cross, sphere_asterisk,
     # integer winding identity on every converged closed-surface run
     for case, expected in ((sphere_cross, 8), (sphere_asterisk, 12),
                            (torus_cross, 0)):
-        total = meshes.winding_sum(case.mesh, case.tri_frames, case.field)
+        total = meshes.winding_sum(case.mesh, case.field)
         if total != expected:
             failures.append(f"winding total {total} != {expected}")
 

@@ -50,12 +50,12 @@ def one_triangle_setup():
 
 
 def test_constant_field_has_zero_winding():
-    mesh, tf = one_triangle_setup()
+    mesh, _ = one_triangle_setup()
     e_hat = mesh.edge_frames.e_hat
     phi = np.arctan2(e_hat[:, 1], e_hat[:, 0])
     values = np.stack([np.cos(4 * -phi), np.sin(4 * -phi)], axis=1)
     field = FieldSolution(order=4, values=values, epsilon=0.1)
-    assert triangle_windings(mesh, tf, field)[0][0] == 0
+    assert triangle_windings(mesh, field)[0][0] == 0
 
 
 def test_prescribed_common_frame_angles_give_full_turn():
@@ -66,7 +66,7 @@ def test_prescribed_common_frame_angles_give_full_turn():
     values[mesh.facet_edges[0], 0] = local1[0]
     values[mesh.facet_edges[0], 1] = local2[0]
     field = FieldSolution(order=4, values=values, epsilon=0.1)
-    assert triangle_windings(mesh, tf, field)[0][0] == 1
+    assert triangle_windings(mesh, field)[0][0] == 1
 
 
 def synthetic_sphere_field(mesh, order, roots):
@@ -109,12 +109,11 @@ def test_synthetic_field_charge_bookkeeping():
     mesh = meshes.surface(meshes.golden_spiral_sphere, 1482)
     roots = anticube_points()
     field = synthetic_sphere_field(mesh, 4, roots)
-    tf = triangle_frames(mesh, 4)
 
-    w_tri, flagged = triangle_windings(mesh, tf, field)
-    w_vert, resid = vertex_windings(mesh, tf, field)
+    w_tri, flagged = triangle_windings(mesh, field)
+    w_vert, resid = vertex_windings(mesh, field)
     assert resid < 0.1
-    assert meshes.winding_sum(mesh, tf, field) == 8
+    assert meshes.winding_sum(mesh, field) == 8
     assert not flagged.any()
 
     positions = [mesh.triangle_centroids()[t] for t in np.flatnonzero(w_tri)]
@@ -125,7 +124,7 @@ def test_synthetic_field_charge_bookkeeping():
     assert gaps.min(axis=1).max() < 0.08
 
     # a vertex-seated charge is reported on its lowest-numbered triangle
-    seated = [s for s in extract_singularities(mesh, tf, field)[0]
+    seated = [s for s in extract_singularities(mesh, field)[0]
               if s.vertex is not None]
     assert len(seated) == np.count_nonzero(w_vert) > 0
     for s in seated:
@@ -135,26 +134,23 @@ def test_synthetic_field_charge_bookkeeping():
 
 
 def test_windings_invariant_under_global_rotation(disk_cross):
-    tf = disk_cross.tri_frames
-    base, _ = triangle_windings(disk_cross.mesh, tf, disk_cross.field)
-    base_v, _ = vertex_windings(disk_cross.mesh, tf, disk_cross.field)
+    base, _ = triangle_windings(disk_cross.mesh, disk_cross.field)
+    base_v, _ = vertex_windings(disk_cross.mesh, disk_cross.field)
     delta = 0.37
     c, s = np.cos(delta), np.sin(delta)
     rotated = disk_cross.field.values @ np.array([[c, s], [-s, c]])
     field = FieldSolution(order=4, values=rotated, epsilon=disk_cross.field.epsilon)
-    w, _ = triangle_windings(disk_cross.mesh, tf, field)
-    wv, _ = vertex_windings(disk_cross.mesh, tf, field)
+    w, _ = triangle_windings(disk_cross.mesh, field)
+    wv, _ = vertex_windings(disk_cross.mesh, field)
     assert np.array_equal(w, base)
     assert np.array_equal(wv, base_v)
 
 
 def test_sphere_cross_extraction(sphere_cross):
-    sings, _ = extract_singularities(
-        sphere_cross.mesh, sphere_cross.tri_frames, sphere_cross.field)
+    sings, _ = extract_singularities(sphere_cross.mesh, sphere_cross.field)
     assert len(sings) == 8
     assert all(s.index == Fraction(1, 4) for s in sings)
-    assert meshes.winding_sum(sphere_cross.mesh, sphere_cross.tri_frames,
-                              sphere_cross.field) == 8
+    assert meshes.winding_sum(sphere_cross.mesh, sphere_cross.field) == 8
     report = poincare_hopf_check(sphere_cross.mesh, sings, sphere_cross.field)
     assert report.passed
     assert report.interior_sum == 2 == report.chi
@@ -167,11 +163,10 @@ def test_sphere_cross_extraction(sphere_cross):
 
 def test_sphere_asterisk_extraction(sphere_asterisk):
     sings, _ = extract_singularities(sphere_asterisk.mesh,
-                                     sphere_asterisk.tri_frames,
                                      sphere_asterisk.field)
     assert len(sings) == 12
     assert all(s.index == Fraction(1, 6) for s in sings)
-    assert meshes.winding_sum(sphere_asterisk.mesh, sphere_asterisk.tri_frames,
+    assert meshes.winding_sum(sphere_asterisk.mesh,
                               sphere_asterisk.field) == 12
     assert poincare_hopf_check(sphere_asterisk.mesh, sings,
                                sphere_asterisk.field).passed
@@ -179,18 +174,15 @@ def test_sphere_asterisk_extraction(sphere_asterisk):
 
 def test_torus_charge_balance(torus_cross):
     assert torus_cross.log.converged
-    assert meshes.winding_sum(torus_cross.mesh, torus_cross.tri_frames,
-                              torus_cross.field) == 0
-    sings, _ = extract_singularities(torus_cross.mesh, torus_cross.tri_frames,
-                                     torus_cross.field)
+    assert meshes.winding_sum(torus_cross.mesh, torus_cross.field) == 0
+    sings, _ = extract_singularities(torus_cross.mesh, torus_cross.field)
     report = poincare_hopf_check(torus_cross.mesh, sings, torus_cross.field)
     assert report.passed
     assert report.chi == 0
 
 
 def test_square_corner_accounting(square_cross):
-    sings, _ = extract_singularities(
-        square_cross.mesh, square_cross.tri_frames, square_cross.field)
+    sings, _ = extract_singularities(square_cross.mesh, square_cross.field)
     assert sings == []
     report = poincare_hopf_check(square_cross.mesh, sings, square_cross.field)
     assert report.corner_sum == 1
@@ -199,8 +191,7 @@ def test_square_corner_accounting(square_cross):
 
 
 def test_lshape_corner_accounting(lshape_cross):
-    sings, _ = extract_singularities(
-        lshape_cross.mesh, lshape_cross.tri_frames, lshape_cross.field)
+    sings, _ = extract_singularities(lshape_cross.mesh, lshape_cross.field)
     report = poincare_hopf_check(lshape_cross.mesh, sings, lshape_cross.field)
     assert report.passed
     assert report.interior_sum + report.corner_sum == 1
@@ -210,8 +201,7 @@ def test_lshape_corner_accounting(lshape_cross):
 
 
 def test_disk_extraction(disk_cross):
-    sings, _ = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
-                                     disk_cross.field)
+    sings, _ = extract_singularities(disk_cross.mesh, disk_cross.field)
     assert len(sings) == 4
     assert all(s.index == Fraction(1, 4) for s in sings)
     report = poincare_hopf_check(disk_cross.mesh, sings, disk_cross.field)
@@ -221,7 +211,7 @@ def test_disk_extraction(disk_cross):
 
 
 def test_zero_norm_edge_merges_cluster(disk_cross):
-    mesh, tf = disk_cross.mesh, disk_cross.tri_frames
+    mesh = disk_cross.mesh
     # edge 1267 is an interior edge of triangle 730, the representative of a
     # +1/4 charge; with the edge zeroed its two triangles carry net winding
     edge = 1267
@@ -230,11 +220,11 @@ def test_zero_norm_edge_merges_cluster(disk_cross):
     values = disk_cross.field.values.copy()
     values[edge] = 0.0
     field = FieldSolution(order=4, values=values, epsilon=disk_cross.field.epsilon)
-    w_tri, _ = triangle_windings(mesh, tf, field)
+    w_tri, _ = triangle_windings(mesh, field)
     total = int(w_tri[pair].sum())
     assert total != 0
 
-    merged = [s for s in extract_singularities(mesh, tf, field)[0]
+    merged = [s for s in extract_singularities(mesh, field)[0]
               if len(s.cluster) > 1]
     assert len(merged) == 1
     s = merged[0]
@@ -254,7 +244,7 @@ def test_zero_edges_keep_the_index_sum(disk_cross):
     its two end vertex loops each read one; folded into one cluster, their
     charges keep the index sum, also beside the boundary, where the end
     vertex's open fan otherwise drops its share."""
-    mesh, tf = disk_cross.mesh, disk_cross.tri_frames
+    mesh = disk_cross.mesh
     interior = np.flatnonzero(~mesh.boundary_edge)
     edges = np.random.default_rng(0).choice(interior, 300, replace=False)
     beside_boundary = 0
@@ -263,7 +253,7 @@ def test_zero_edges_keep_the_index_sum(disk_cross):
         values[edge] = 0.0
         field = FieldSolution(order=4, values=values,
                               epsilon=disk_cross.field.epsilon)
-        sings, _ = extract_singularities(mesh, tf, field)
+        sings, _ = extract_singularities(mesh, field)
         assert sum(s.index for s in sings) == 1, edge
         assert poincare_hopf_check(mesh, sings, field).passed, edge
         pair = set(mesh.edge_facets[edge].tolist())
@@ -273,11 +263,11 @@ def test_zero_edges_keep_the_index_sum(disk_cross):
     assert beside_boundary >= 16
 
 
-def reference_extraction(mesh, tf, field):
+def reference_extraction(mesh, field):
     """The singularities of ``extract_singularities`` as the whole-mesh code
     found them: the centroids of every triangle, and each vertex's first
     triangle by ``np.minimum.at``."""
-    phi = analysis._common_frame_angles(mesh, tf, field)
+    phi = analysis._common_frame_angles(mesh, field)
     w_tri, touches_zero = analysis._triangle_windings(mesh, phi, field)
     turns = analysis._vertex_turns(mesh, phi, field.order)
     norms = field.norms()
@@ -344,7 +334,7 @@ def extraction_cases(request):
     a sphere field with vertex-seated charges."""
     for name in ("sphere_cross", "sphere_asterisk"):
         case = request.getfixturevalue(name)
-        yield name, case.mesh, case.tri_frames, case.field
+        yield name, case.mesh, case.field
     disk = request.getfixturevalue("disk_cross")
     mesh = disk.mesh
     interior = np.flatnonzero(~mesh.boundary_edge)
@@ -354,11 +344,10 @@ def extraction_cases(request):
     # a chain of edges around one vertex: the whole fan merges
     picks += [np.flatnonzero((mesh.edges == mesh.triangles[730, 0]).any(1))]
     for edges in picks:
-        yield (f"disk-{edges[0]}", mesh, disk.tri_frames,
-               zeroed(disk.field, edges))
+        yield (f"disk-{edges[0]}", mesh, zeroed(disk.field, edges))
     sphere = request.getfixturevalue("sphere_cross")
-    yield ("synthetic", sphere.mesh, sphere.tri_frames, synthetic_sphere_field(
-        sphere.mesh, 4, anticube_points()))
+    yield ("synthetic", sphere.mesh,
+           synthetic_sphere_field(sphere.mesh, 4, anticube_points()))
 
 
 def test_extraction_matches_the_whole_mesh_reference(request):
@@ -366,9 +355,9 @@ def test_extraction_matches_the_whole_mesh_reference(request):
     position bit for bit, and the returned windings are the bytes of
     ``triangle_windings``."""
     kinds = set()
-    for name, mesh, tf, field in extraction_cases(request):
-        sings, windings = extract_singularities(mesh, tf, field)
-        expected = reference_extraction(mesh, tf, field)
+    for name, mesh, field in extraction_cases(request):
+        sings, windings = extract_singularities(mesh, field)
+        expected = reference_extraction(mesh, field)
         assert len(sings) == len(expected), name
         for got, want in zip(sings, expected):
             for f in dataclasses.fields(analysis.Singularity):
@@ -380,15 +369,14 @@ def test_extraction_matches_the_whole_mesh_reference(request):
                     assert type(a) is type(b) and a == b, (name, f.name)
             kinds.add("vertex" if got.vertex is not None
                       else "cluster" if got.flagged else "triangle")
-        reference, _ = triangle_windings(mesh, tf, field)
+        reference, _ = triangle_windings(mesh, field)
         assert windings.dtype == reference.dtype
         assert windings.tobytes() == reference.tobytes(), name
     assert kinds == {"vertex", "cluster", "triangle"}
 
 
 def test_singularity_sorting_and_json(disk_cross):
-    sings, _ = extract_singularities(disk_cross.mesh, disk_cross.tri_frames,
-                                     disk_cross.field)
+    sings, _ = extract_singularities(disk_cross.mesh, disk_cross.field)
     keys = [(s.index, s.triangle) for s in sings]
     assert keys == sorted(keys)
     payload = singularities_to_json(sings)
@@ -434,11 +422,10 @@ def test_random_hull_windings_sum_to_order_times_chi(n, order, seed):
     points = rng.normal(size=(n, 3))
     points /= np.linalg.norm(points, axis=1)[:, None]
     mesh = convex_hull_mesh(points)
-    tf = triangle_frames(mesh, order)
     angle = rng.uniform(-np.pi, np.pi, mesh.n_edges)
     radius = rng.uniform(0.5, 1.5, mesh.n_edges)
     field = FieldSolution(order=order, epsilon=0.1, values=np.stack(
         [radius * np.cos(angle), radius * np.sin(angle)], axis=1))
-    assert meshes.winding_sum(mesh, tf, field) == 2 * order
-    sings, _ = extract_singularities(mesh, tf, field)
+    assert meshes.winding_sum(mesh, field) == 2 * order
+    sings, _ = extract_singularities(mesh, field)
     assert poincare_hopf_check(mesh, sings, field).passed

@@ -93,6 +93,23 @@ def test_the_mesh_owns_its_edge_frames(tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_analysis_takes_the_mesh_and_the_field():
+    """Extraction and the windings build the transport phases of the
+    field's own order, so no caller can pass phases of another order."""
+    for function in (crossfield.extract_singularities,
+                     crossfield.triangle_windings,
+                     crossfield.vertex_windings):
+        assert list(inspect.signature(function).parameters) == [
+            "mesh", "field"]
+    verts, tris = meshes.golden_spiral_sphere(60)
+    mesh = crossfield.SurfaceMesh(verts, tris)
+    values = np.random.default_rng(0).standard_normal((mesh.n_edges, 2))
+    for order in (4, 6):
+        field = crossfield.FieldSolution(order=order, values=values,
+                                         epsilon=0.1)
+        assert meshes.winding_sum(mesh, field) == 2 * order
+
+
 def test_solve_state_is_the_state_callers_read(tmp_path):
     """Frames hold their phases, the mesh its arrays and the log its pinned
     edge id; no object keeps a copy of what another one holds."""

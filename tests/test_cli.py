@@ -402,6 +402,41 @@ def test_solve_non_convergence_exit(capsys, sphere_off):
     assert payload["convergence"]["converged"] is False
 
 
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN or infinity."""
+    def reject(literal):
+        raise ValueError(f"non-finite number {literal} in the report")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_report_numbers_are_null(capsys, square_off, tmp_path,
+                                            monkeypatch):
+    """With a gradient and an energy that are not finite, the printed and
+    the written report are strict JSON, with ``null`` for every residual
+    and energy part, and both hold the values that ``run_solve`` returns."""
+    monkeypatch.setattr(crossfield.Discretization, "residual",
+                        lambda self, x, epsilon: np.full(self.n_dofs, np.nan))
+    monkeypatch.setattr(crossfield.Discretization, "energy",
+                        lambda self, x, epsilon: crossfield.EnergyBreakdown(
+                            np.inf, -np.inf, np.nan))
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "solve", "--mesh", str(square_off),
+                           "--max-iter", "2", "--out-report", str(path))
+    assert code == 4
+    printed = strict_json(out)
+    written = strict_json(path.read_text(encoding="utf-8"))
+    conv = written["convergence"]
+    assert conv["final_residual"] is None
+    assert conv["residuals"] == [None, None, None]
+    assert written["energy"] == dict.fromkeys(
+        ("smoothing", "penalty", "total"))
+    _, returned = cli.run_solve(str(square_off), max_iter=2)
+    for report in (printed, returned):
+        del report["timings"]
+    del written["timings"]
+    assert printed == written == returned
+
+
 def test_singular_newton_system_exits_4(capsys, square_off, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")

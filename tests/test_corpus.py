@@ -18,8 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
-from crossfield import (constraint_dofs, newton_solve, topology_report,
-                        triangle_frames)
+from crossfield import constraint_dofs, newton_solve, topology_report
 from crossfield import cli
 
 import meshes
@@ -86,5 +85,5 @@ def test_solve_corpus_certifies(corpus_dir, name, k, seed, order):
         return
     assert code == 0 and report["poincare_hopf"]["pass"]
     if name in CLOSED:
-        total = meshes.winding_sum(mesh, triangle_frames(mesh, order), field)
+        total = meshes.winding_sum(mesh, field)
         assert total == order * topology_report(mesh).chi

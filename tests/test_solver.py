@@ -16,8 +16,7 @@ from crossfield import (CR_GRADIENTS, Discretization, EnergyBreakdown,
                         SurfaceMesh, TRI_QUAD_POINTS, TRI_QUAD_WEIGHTS,
                         constraint_dofs, cr_shapes, gl_energy, gl_residual,
                         newton_solve,
-                        extract_singularities, poincare_hopf_check,
-                        triangle_frames)
+                        extract_singularities, poincare_hopf_check)
 from crossfield import solver as solver_module
 from crossfield.frames import TriangleFrames
 from crossfield.mesh import boundary_loops
@@ -487,8 +486,7 @@ def test_square_converges_immediately(square_cross):
     assert log.residuals[-1] <= 1e-12
     exact = transported_constant(square_cross.mesh, 4)
     assert np.abs(square_cross.field.values - exact).max() < 1e-9
-    sings, _ = extract_singularities(
-        square_cross.mesh, square_cross.tri_frames, square_cross.field)
+    sings, _ = extract_singularities(square_cross.mesh, square_cross.field)
     assert sings == []
 
 
@@ -897,8 +895,7 @@ RELABEL_FIXTURES = {
 def relabel_outcome(mesh, order, eps):
     field, log = newton_solve(mesh, order, NewtonOptions(epsilon=eps, tol=1e-12))
     assert log.converged
-    sings, _ = extract_singularities(
-        mesh, triangle_frames(mesh, order), field)
+    sings, _ = extract_singularities(mesh, field)
     corners = poincare_hopf_check(mesh, sings, field).corner_sum
     return field.values, sorted(s.index for s in sings), corners
 
@@ -979,8 +976,7 @@ def test_residual_vector_is_energy_gradient_of_converged(disk_cross):
 def test_converged_norm_band(sphere_cross):
     """Away from the extracted cores the field norm stays near one."""
     mesh = sphere_cross.mesh
-    sings, _ = extract_singularities(mesh, sphere_cross.tri_frames,
-                                     sphere_cross.field)
+    sings, _ = extract_singularities(mesh, sphere_cross.field)
     midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
                        + mesh.vertices[mesh.edges[:, 1]])
     eps = sphere_cross.field.epsilon

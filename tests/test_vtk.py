@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from crossfield import (FieldSolution, edge_angles, triangle_frames,
-                        triangle_windings, write_field_vtk)
+from crossfield import (FieldSolution, edge_angles, triangle_windings,
+                        write_field_vtk)
 
 import meshes
 
@@ -48,7 +48,7 @@ def test_block_formatting_matches_per_value_writer(tmp_path):
     values[0] = 0.0    # an undefined direction
     values[1] = -0.0
     field = FieldSolution(order=4, values=values, epsilon=0.3)
-    windings, _ = triangle_windings(mesh, triangle_frames(mesh, 4), field)
+    windings, _ = triangle_windings(mesh, field)
     assert np.any(windings != 0)
 
     path = tmp_path / "field.vtk"
