@@ -5,6 +5,12 @@ interior or 2 on the boundary; for triangulations the regular valences are
 6 and 3.  Each irregular vertex carries a rational index of the valence
 mismatch over the regular interior valence, and the indices of all
 irregular vertices sum to the Euler characteristic of the surface.
+
+The sum is an identity on every mesh that ``topology_report`` accepts, not
+a test: with ``k`` vertices per facet, ``k*F = 2*E - E_b``, and a boundary
+that closes at every vertex has ``E_b = V_b``; so the interior and boundary
+mismatches, over ``2k/(k-2)`` (4 for quads, 6 for triangles), sum to
+``V - E + F``.  The audit reports the indices; it certifies nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .mesh import QuadMesh, topology_report
 
-__all__ = ["IrregularVertex", "IndexAudit", "audit", "regular_mesh_feasible"]
+__all__ = ["IrregularVertex", "IndexAudit", "audit"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,6 @@ class IndexAudit:
     per_vertex: tuple[IrregularVertex, ...]
     index_sum: Fraction
     chi: int
-    consistent: bool
 
     def to_dict(self):
         return {
@@ -61,12 +66,6 @@ def audit(mesh):
     6 / 3 for triangulations; a mismatch ``k`` contributes an index of
     ``k/4`` resp. ``k/6``.  Vertices with zero mismatch are omitted from
     the per-vertex table.
-
-    Returns
-    -------
-    IndexAudit
-        ``consistent`` is true iff the index sum equals the Euler
-        characteristic, which holds for every valid mesh.
     """
     if isinstance(mesh, QuadMesh):
         v_interior, v_boundary, denom = 4, 2, 4
@@ -86,17 +85,8 @@ def audit(mesh):
             index=Fraction(int(mismatch[v]), denom),
         ))
 
-    index_sum = Fraction(int(mismatch.sum()), denom)
-    chi = topology_report(mesh).chi
     return IndexAudit(
         per_vertex=tuple(rows),
-        index_sum=index_sum,
-        chi=chi,
-        consistent=index_sum == chi,
+        index_sum=Fraction(int(mismatch.sum()), denom),
+        chi=topology_report(mesh).chi,
     )
-
-
-def regular_mesh_feasible(chi):
-    """Whether a surface of Euler characteristic ``chi`` admits a mesh with
-    only regular vertices; true exactly for ``chi == 0``."""
-    return chi == 0

@@ -286,14 +286,6 @@ class QuadMesh(_FacetMesh):
     def __init__(self, vertices, quads):
         super().__init__(vertices, quads, "quads", 4)
 
-    @property
-    def quads(self):
-        return self.facets
-
-    @property
-    def n_quads(self):
-        return len(self.facets)
-
 
 @dataclass(frozen=True)
 class TopologyReport:

@@ -122,7 +122,7 @@ def test_criterion_5_quad_audits():
     failures = []
     for name, mesh in quad_meshes.items():
         result = audit(mesh)
-        if not result.consistent:
+        if result.index_sum != result.chi:
             failures.append(f"{name}: {result.index_sum} != {result.chi}")
         rep = topology_report(mesh)
         if 4 * rep.n_f != 2 * (rep.n_e - rep.n_b) + rep.n_b:

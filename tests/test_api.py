@@ -47,9 +47,21 @@ def test_every_exported_name_resolves():
     ("crossfield.analysis", "angle_defects"),
     ("crossfield", "winding_total"),
     ("crossfield.analysis", "winding_total"),
+    ("crossfield", "regular_mesh_feasible"),
+    ("crossfield.audit", "regular_mesh_feasible"),
 ])
 def test_removed_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_the_audit_reports_and_certifies_nothing():
+    """The index sum equals chi on every valid mesh, so an audit holds the
+    indices and no verdict; a quad mesh has ``facets`` and ``n_facets``
+    like every mesh, and no names of its own for them."""
+    fields = [field.name for field in dataclasses.fields(crossfield.IndexAudit)]
+    assert fields == ["per_vertex", "index_sum", "chi"]
+    for name in ("quads", "n_quads"):
+        assert not hasattr(crossfield.QuadMesh, name)
 
 
 def test_solve_settings_are_the_ones_callers_set():

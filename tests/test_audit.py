@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crossfield import QuadMesh, audit, regular_mesh_feasible, topology_report
+from crossfield import QuadMesh, audit, topology_report
 
 import meshes
 
@@ -16,7 +16,7 @@ def test_structured_grid_corners():
     assert all(v.valence == 1 and v.boundary for v in result.per_vertex)
     assert all(v.index == Fraction(1, 4) for v in result.per_vertex)
     assert result.index_sum == 1 == result.chi
-    assert result.consistent
+    assert result.index_sum == result.chi
 
 
 def test_ogrid_disk_interior_irregulars():
@@ -27,7 +27,7 @@ def test_ogrid_disk_interior_irregulars():
     assert all(v.valence == 3 for v in result.per_vertex)
     assert all(v.index == Fraction(1, 4) for v in result.per_vertex)
     assert result.index_sum == 1
-    assert result.consistent
+    assert result.index_sum == result.chi
 
 
 def test_regular_torus_triangulation_is_empty():
@@ -35,14 +35,14 @@ def test_regular_torus_triangulation_is_empty():
     result = audit(mesh)
     assert result.per_vertex == ()
     assert result.index_sum == 0 == result.chi
-    assert result.consistent
+    assert result.index_sum == result.chi
 
 
 def test_regular_torus_quads_is_empty():
     mesh = meshes.quad(meshes.torus_quads, 12, 8)
     result = audit(mesh)
     assert result.per_vertex == ()
-    assert result.consistent
+    assert result.index_sum == result.chi
 
 
 def test_cylinder_quads_regular():
@@ -50,7 +50,7 @@ def test_cylinder_quads_regular():
     result = audit(mesh)
     assert result.chi == 0
     assert result.index_sum == 0
-    assert result.consistent
+    assert result.index_sum == result.chi
 
 
 def test_triangle_audit_structured_square():
@@ -60,7 +60,7 @@ def test_triangle_audit_structured_square():
     indices = sorted(v.index for v in result.per_vertex)
     assert indices == [Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)]
     assert result.index_sum == 1 == result.chi
-    assert result.consistent
+    assert result.index_sum == result.chi
 
 
 def test_catmull_split_consistency():
@@ -70,7 +70,7 @@ def test_catmull_split_consistency():
     result = audit(mesh)
     assert result.chi == 2
     assert result.index_sum == 2
-    assert result.consistent
+    assert result.index_sum == result.chi
 
 
 @pytest.mark.parametrize("builder", [
@@ -84,7 +84,7 @@ def test_subdivision_preserves_index_sum(builder):
     base = audit(QuadMesh(verts, quads))
     refined = audit(QuadMesh(*meshes.subdivide_quads(verts, quads)))
     assert refined.index_sum == base.index_sum
-    assert refined.consistent
+    assert refined.index_sum == refined.chi
 
 
 def test_reordering_invariance():
@@ -101,20 +101,14 @@ def test_randomized_quadrangulations_consistent():
         verts, tris = meshes.random_planar_delaunay(60, seed)
         qverts, quads = meshes.catmull_quads_from_tri(verts, tris)
         result = audit(QuadMesh(qverts, quads))
-        assert result.consistent, f"seed {seed}: {result.index_sum} != {result.chi}"
+        assert result.index_sum == result.chi, (
+            f"seed {seed}: {result.index_sum} != {result.chi}")
 
 
 def test_counts_reproduce_facet_identity():
     mesh = meshes.quad(meshes.ogrid_disk_quads, 5, 4)
     report = topology_report(mesh)
     assert 2 * report.n - report.n_b - 2 * report.n_f == 2 * report.chi
-
-
-def test_regular_mesh_feasible():
-    assert regular_mesh_feasible(0)
-    assert not regular_mesh_feasible(2)
-    assert not regular_mesh_feasible(1)
-    assert not regular_mesh_feasible(-2)
 
 
 def test_audit_json_schema():

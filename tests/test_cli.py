@@ -228,25 +228,9 @@ def test_audit_ogrid_disk(capsys, tmp_path):
     assert all(not r["boundary"] for r in payload["irregular"])
 
 
-def test_audit_exit_codes(capsys, tmp_path, monkeypatch):
+def test_audit_exit_codes(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "audit", str(tmp_path / "missing.off"))
     assert code == 2
-
-    # the identity holds for every valid mesh, so force a report that
-    # disagrees to exercise the exit path
-    from fractions import Fraction
-    from crossfield import IndexAudit
-
-    def broken_audit(mesh):
-        return IndexAudit(per_vertex=(), index_sum=Fraction(0), chi=1,
-                          consistent=False)
-
-    monkeypatch.setattr(cli, "audit", broken_audit)
-    verts, quads = meshes.square_grid_quads(3)
-    path = tmp_path / "grid.off"
-    meshes.write_off(path, verts, quads)
-    code, _, _ = run_cli(capsys, "audit", str(path))
-    assert code == 3
 
 
 def test_solve_square(capsys, square_off, tmp_path):
@@ -316,6 +300,21 @@ def test_solve_reports_byte_identical(capsys, square_off, tmp_path):
     a.pop("timings")
     b.pop("timings")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_report_times_the_export(capsys, square_off, tmp_path):
+    """``timings`` holds the field export, with or without a field file,
+    and the written report is the printed one."""
+    path = tmp_path / "report.json"
+    for extra in ((), ("--out-field", str(tmp_path / "field.vtk"))):
+        code, out, _ = run_cli(capsys, "solve", "--mesh", str(square_off),
+                               "--out-report", str(path), *extra)
+        assert code == 0
+        printed = strict_json(out)
+        assert set(printed["timings"]) == {"load", "solve", "analysis",
+                                           "export"}
+        assert printed["timings"]["export"] >= 0.0
+        assert strict_json(path.read_text(encoding="utf-8")) == printed
 
 
 def test_solve_sphere_cross(capsys, sphere_off):
@@ -723,14 +722,17 @@ def mutate(lines, kind, line, token, value):
 def test_fuzzed_mesh_files_exit_with_a_documented_code(fuzz_texts, case):
     """A truncated file, a dropped or repeated line, or one token replaced
     by ``nan``, ``-1``, ``1e999``, ``x`` or nothing never raises out of
-    ``main``; it loads, or exits 2, or ends in a documented solve code."""
+    ``main``; ``topology`` and ``audit`` load it or exit 2, and ``solve``
+    exits 2 or ends in a documented solve code."""
     folder, texts = fuzz_texts
     name, kind, line, token, value = case
     path = folder / f"fuzzed-{name}"
     path.write_text("".join(mutate(texts[name], kind, line, token, value)))
-    for argv in (["topology", str(path)],
-                 ["solve", "--mesh", str(path), "--max-iter", "3"]):
+    for argv, allowed in ((["topology", str(path)], (0, 2)),
+                          (["audit", str(path)], (0, 2)),
+                          (["solve", "--mesh", str(path), "--max-iter", "3"],
+                           (0, 2, 4, 5))):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-        assert code in (0, 2, 3, 4, 5)
+        assert code in allowed, argv

@@ -56,7 +56,7 @@ def test_quad_off_loads_as_quad_mesh(tmp_path):
     meshes.write_off(path, verts, quads)
     mesh = load_mesh(path)
     assert isinstance(mesh, QuadMesh)
-    assert mesh.n_quads == 9
+    assert mesh.n_facets == 9
 
 
 def test_msh_load_ignores_lines(tmp_path):

@@ -989,6 +989,31 @@ def test_converged_norm_band(sphere_cross):
     assert norms.max() <= 1.2
 
 
+def test_sphere_energy_follows_ginzburg_landau_asymptotics(sphere_mesh,
+                                                           sphere_cross):
+    """A cross field on the sphere is a representation vector with eight
+    degree-one vortices. As epsilon falls, the slope dE/d log(1/epsilon)
+    rises toward 8*pi and the penalty toward 4*pi, pi/2 per core (Bethuel,
+    Brezis and Helein, Ginzburg-Landau Vortices, 1994), both from below.
+    On this mesh the slopes are 0.73 and 0.81 of 8*pi and the penalties
+    0.69 to 0.84 of 4*pi at epsilon 0.2, 0.14 and 0.1."""
+    solves = [newton_solve(sphere_mesh, 4,
+                           NewtonOptions(epsilon=eps, tol=1e-12))
+              for eps in (0.2, 0.14)]
+    solves.append((sphere_cross.field, sphere_cross.log))
+    energies = []
+    for field, log in solves:
+        assert log.converged
+        sings, _ = extract_singularities(sphere_mesh, field)
+        assert len(sings) == 8
+        energies.append(gl_energy(sphere_mesh, field))
+    log_inverse = -np.log([field.epsilon for field, _ in solves])
+    slopes = np.diff([e.total for e in energies]) / np.diff(log_inverse)
+    assert 0.0 < slopes[0] < slopes[1] < 8.0 * np.pi
+    penalties = [e.penalty for e in energies]
+    assert 0.0 < penalties[0] < penalties[1] < penalties[2] < 4.0 * np.pi
+
+
 # -- the step factorisation ---------------------------------------------------
 
 def test_factor_takes_diagonal_pivots_on_indefinite_newton_matrix():
