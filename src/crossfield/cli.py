@@ -150,12 +150,6 @@ def run_solve(mesh_path, symmetry=4, epsilon="auto", tol=1e-12, max_iter=100,
 
 
 def _cmd_solve(args):
-    if args.epsilon != "auto":
-        try:
-            args.epsilon = float(args.epsilon)
-        except ValueError:
-            print(f"error: bad --epsilon value {args.epsilon!r}", file=sys.stderr)
-            return 2
     code, report = run_solve(
         args.mesh, symmetry=args.symmetry, epsilon=args.epsilon, tol=args.tol,
         max_iter=args.max_iter, seed=args.seed, out_field=args.out_field,
@@ -165,9 +159,6 @@ def _cmd_solve(args):
 
 
 def _cmd_sweep(args):
-    if args.samples < 2:
-        print("error: --samples must be at least 2", file=sys.stderr)
-        return 2
     angles = np.linspace(0.0, np.pi / 2.0, args.samples)
     rows = tilt_sweep(height=args.height, angles=angles)
     lines = ["angle,energy"] + [f"{a:.17g},{e:.17g}" for a, e in rows]
@@ -176,9 +167,6 @@ def _cmd_sweep(args):
 
 
 def _cmd_fekete(args):
-    if args.count < 2:
-        print("error: --count must be at least 2", file=sys.stderr)
-        return 2
     config = fekete_optimize(args.count, seed=args.seed)
     payload = {
         "count": args.count,
@@ -188,6 +176,11 @@ def _cmd_fekete(args):
     }
     _emit(_dump(payload) + "\n", args.out)
     return 0
+
+
+def epsilon(text):
+    """``"auto"`` or a float; argparse names a bad value by this name."""
+    return text if text == "auto" else float(text)
 
 
 def _build_parser():
@@ -207,7 +200,7 @@ def _build_parser():
     p = sub.add_parser("solve", help="compute a direction field and its singularities")
     p.add_argument("--mesh", required=True)
     p.add_argument("--symmetry", type=int, default=4)
-    p.add_argument("--epsilon", default="auto",
+    p.add_argument("--epsilon", type=epsilon, default="auto",
                    help="coherence length, or 'auto' for twice the mean edge length")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=100)
@@ -238,7 +231,7 @@ def main(argv=None):
         return exc.code if exc.code else 0
     try:
         return args.func(args)
-    except (MeshLoadError, InvalidMeshError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SingularFactorError as exc:

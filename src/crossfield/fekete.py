@@ -93,8 +93,6 @@ def log_interaction_energy(config):
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
     iu = np.triu_indices(len(pts), k=1)
-    if dist[iu].min() < 1e-9:
-        raise ValueError("coincident points in configuration")
     pair = idx[iu[0]] * idx[iu[1]] * np.log(dist[iu])
     return float(-2.0 * np.pi * pair.sum())
 

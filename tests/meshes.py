@@ -160,6 +160,27 @@ def golden_spiral_sphere(n_points):
     return pts, tris
 
 
+def convex_hull_mesh(points):
+    """Triangulated convex hull, each face counterclockwise seen from outside."""
+    tris = ConvexHull(points).simplices.copy()
+    p = points[tris]
+    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    # orient against the hull's own centroid: on small hulls the origin can
+    # lie outside or on a face plane
+    outward = p.mean(axis=1) - points[np.unique(tris)].mean(axis=0)
+    inward = (normal * outward).sum(axis=1) < 0
+    tris[inward] = tris[inward][:, ::-1]
+    return SurfaceMesh(points, tris)
+
+
+def ellipsoid_hull(n_points, seed):
+    """Convex hull of ``n_points`` random unit vectors scaled by (1, 0.6,
+    0.35): a closed ellipsoid with no symmetry."""
+    points = np.random.default_rng(seed).standard_normal((n_points, 3))
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    return convex_hull_mesh(points * np.array([1.0, 0.6, 0.35]))
+
+
 def torus_tri(nu, nv, ring_radius=1.0, tube_radius=0.4):
     verts = []
     for i in range(nu):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import ConvexHull
 
 from crossfield import (FieldSolution, SurfaceMesh, edge_angles,
                         extract_singularities, poincare_hopf_check,
@@ -154,6 +153,7 @@ def test_sphere_cross_extraction(sphere_cross):
     report = poincare_hopf_check(sphere_cross.mesh, sings, sphere_cross.field)
     assert report.passed
     assert report.interior_sum == 2 == report.chi
+    assert report.corner_sum == 0
 
     norms = sphere_cross.field.norms()
     median = float(np.median(norms))
@@ -168,8 +168,10 @@ def test_sphere_asterisk_extraction(sphere_asterisk):
     assert all(s.index == Fraction(1, 6) for s in sings)
     assert meshes.winding_sum(sphere_asterisk.mesh,
                               sphere_asterisk.field) == 12
-    assert poincare_hopf_check(sphere_asterisk.mesh, sings,
-                               sphere_asterisk.field).passed
+    report = poincare_hopf_check(sphere_asterisk.mesh, sings,
+                                 sphere_asterisk.field)
+    assert report.passed
+    assert report.corner_sum == 0
 
 
 def test_torus_charge_balance(torus_cross):
@@ -179,6 +181,27 @@ def test_torus_charge_balance(torus_cross):
     report = poincare_hopf_check(torus_cross.mesh, sings, torus_cross.field)
     assert report.passed
     assert report.chi == 0
+    assert report.corner_sum == 0
+
+
+@pytest.mark.parametrize("order", [1, 4, 6])
+@pytest.mark.parametrize("generator, args", [
+    (meshes.golden_spiral_sphere, (400,)), (meshes.torus_tri, (24, 10)),
+    (meshes.disk_hex, (6,)), (meshes.random_planar_delaunay, (200, 3))],
+    ids=["sphere", "torus", "disk", "delaunay"])
+def test_triangle_turns_are_integers(generator, args, order):
+    """The three wrapped hops of a triangle loop sum to a multiple of 2*pi
+    up to rounding, on random fields with 5% of their edges exactly zero."""
+    mesh = meshes.surface(generator, *args)
+    rng = np.random.default_rng(order)
+    for _ in range(20):
+        values = rng.normal(size=(mesh.n_edges, 2))
+        values[rng.random(mesh.n_edges) < 0.05] = 0.0
+        field = FieldSolution(order=order, epsilon=0.1, values=values)
+        phi = analysis._common_frame_angles(mesh, field)
+        turns = analysis._wrap(np.roll(phi, -1, axis=1) - phi).sum(axis=1) / (
+            2.0 * np.pi)
+        assert np.abs(turns - np.rint(turns)).max() <= 1e-12
 
 
 def test_square_corner_accounting(square_cross):
@@ -401,19 +424,6 @@ def test_boundary_corner_rounding():
     assert lreport.corner_sum == 1
 
 
-def convex_hull_mesh(points):
-    """Triangulated convex hull, each face counterclockwise seen from outside."""
-    tris = ConvexHull(points).simplices.copy()
-    p = points[tris]
-    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    # orient against the hull's own centroid: on small hulls the origin can
-    # lie outside or on a face plane
-    outward = p.mean(axis=1) - points[np.unique(tris)].mean(axis=0)
-    inward = (normal * outward).sum(axis=1) < 0
-    tris[inward] = tris[inward][:, ::-1]
-    return SurfaceMesh(points, tris)
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(n=st.integers(4, 300), order=st.sampled_from([1, 2, 4, 6]),
        seed=st.integers(0, 2**32 - 1))
@@ -421,7 +431,7 @@ def test_random_hull_windings_sum_to_order_times_chi(n, order, seed):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, 3))
     points /= np.linalg.norm(points, axis=1)[:, None]
-    mesh = convex_hull_mesh(points)
+    mesh = meshes.convex_hull_mesh(points)
     angle = rng.uniform(-np.pi, np.pi, mesh.n_edges)
     radius = rng.uniform(0.5, 1.5, mesh.n_edges)
     field = FieldSolution(order=order, epsilon=0.1, values=np.stack(

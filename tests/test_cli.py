@@ -552,6 +552,7 @@ def test_solve_rejects_quads_and_bad_flags(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--mesh", str(path),
                            "--epsilon", "banana")
     assert code == 2
+    assert "argument --epsilon: invalid epsilon value: 'banana'" in err
     code, _, err = run_cli(capsys, "solve", "--mesh", str(path),
                            "--epsilon", "-0.5")
     assert code == 2
@@ -614,9 +615,19 @@ def test_out_file_matches_stdout(capsys, tmp_path, argv):
     assert path.read_bytes() == out.encode()
 
 
+def library_error_only(err, call):
+    """``err`` is one ``error:`` line carrying the ``ValueError`` that
+    ``call()`` raises, and no traceback."""
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert err.splitlines() == [f"error: {raised.value}"]
+
+
 def test_sweep_sample_validation(capsys):
     code, _, err = run_cli(capsys, "sweep", "--samples", "1")
     assert code == 2
+    library_error_only(err, lambda: crossfield.tilt_sweep(
+        angles=np.linspace(0.0, np.pi / 2.0, 1)))
 
 
 def test_fekete_icosahedron_json(capsys):
@@ -635,6 +646,7 @@ def test_fekete_icosahedron_json(capsys):
 def test_fekete_count_validation(capsys):
     code, _, err = run_cli(capsys, "fekete", "--count", "1")
     assert code == 2
+    library_error_only(err, lambda: crossfield.fekete_optimize(1))
 
 
 def test_cli_entry_point_installed():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crossfield import (InvalidMeshError, SurfaceMesh, TriangleFrames,
                         build_edge_frames, triangle_frames)
@@ -58,6 +59,54 @@ def test_fold_over_rejected():
     mesh = SurfaceMesh(verts, tris)
     with pytest.raises(InvalidMeshError, match="fold-over"):
         build_edge_frames(mesh)
+
+
+def sliver_fan(k, gap, cap, rng):
+    """A bent fan of ``k`` triangles about an interior vertex at the origin
+    whose first triangle is a sliver: a needle with angle ``gap`` at the
+    centre, or with ``cap`` a triangle whose centre angle is ``pi - gap``."""
+    sliver = np.pi - gap if cap else gap
+    # the other centre angles stay below pi, so no triangle folds over
+    rest = rng.uniform(0.75, 1.25, k - 1)
+    rest *= (2.0 * np.pi - sliver) / rest.sum()
+    theta = np.concatenate([[0.0, sliver], sliver + np.cumsum(rest[:-1])])
+    slope = rng.uniform(-0.5, 0.5, k)
+    # the sliver's rim corners keep it degenerate in 3-d too: the needle's
+    # lie on one cone about the axis, the cap's opposite each other
+    slope[1] = -slope[0] if cap else slope[0]
+    radius = rng.uniform(0.5, 2.0, k)
+    rim = radius[:, None] * np.column_stack(
+        [np.cos(theta), np.sin(theta), slope])
+    verts = np.vstack([np.zeros(3), rim])
+    tris = np.array([[0, 1 + i, 1 + (i + 1) % k] for i in range(k)])
+    return verts, tris
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(k=st.integers(4, 8), cap=st.booleans(),
+       log_gap=st.floats(-12.5, -1.0), log_scale=st.floats(-60.0, 60.0),
+       log_offset=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
+def test_accepted_slivers_project_every_edge_direction(
+        k, cap, log_gap, log_scale, log_offset, seed):
+    """Around ``SurfaceMesh``'s degeneracy bound (area at most 1e-12 times
+    the longest side squared), a sliver fan under any rotation, scale and
+    offset is either rejected, at construction or when its edge frames are
+    built, or every edge direction keeps a norm near 1 when
+    ``triangle_frames`` projects it into an adjacent triangle's plane."""
+    rng = np.random.default_rng(seed)
+    verts, tris = sliver_fan(k, 10.0**log_gap, cap, rng)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    offset = rng.normal(size=3)
+    offset *= 10.0**log_offset / np.linalg.norm(offset)
+    verts = 10.0**log_scale * verts @ rotation.T + offset
+    try:
+        mesh = SurfaceMesh(verts, tris)
+        e = mesh.edge_frames.e_hat[mesh.facet_edges]
+    except InvalidMeshError:
+        return
+    n = mesh.triangle_normals[:, None, :]
+    proj = e - (e * n).sum(axis=2, keepdims=True) * n
+    assert np.linalg.norm(proj, axis=2).min() > 0.5
 
 
 def phases(alpha, order):

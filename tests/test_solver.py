@@ -106,10 +106,20 @@ def test_element_zero_field_reduces_to_stiffness():
     assert np.abs(rhs).max() == 0.0
 
 
-def test_newton_matrix_symmetry():
-    verts, tris = meshes.random_planar_delaunay(30, seed=6)
-    mesh = SurfaceMesh(verts, tris)
-    disc = Discretization(mesh, 4)
+# curved closed surfaces on which the planar invariant checks run again:
+# two ellipsoids with no symmetry and a torus
+CLOSED_SURFACES = {
+    "hull0": lambda: meshes.ellipsoid_hull(200, seed=0),
+    "hull1": lambda: meshes.ellipsoid_hull(200, seed=1),
+    "torus": lambda: meshes.surface(meshes.torus_tri, 16, 8),
+}
+on_closed_surfaces = pytest.mark.parametrize(
+    "surface, order", [(name, order) for name in CLOSED_SURFACES
+                       for order in (4, 6)])
+
+
+def check_newton_matrix_symmetry(mesh, order):
+    disc = Discretization(mesh, order)
     rng = np.random.default_rng(8)
     x = rng.normal(size=disc.n_dofs)
     matrix, _ = disc.newton_system(x, 0.3)
@@ -118,14 +128,32 @@ def test_newton_matrix_symmetry():
     assert (np.abs(gap.data).max() if gap.nnz else 0.0) < 1e-12 * scale
 
 
-def test_newton_rhs_is_full_newton_step():
-    verts, tris = meshes.random_planar_delaunay(20, seed=9)
-    mesh = SurfaceMesh(verts, tris)
-    disc = Discretization(mesh, 4)
+def check_newton_rhs_is_full_newton_step(mesh, order):
+    disc = Discretization(mesh, order)
     rng = np.random.default_rng(10)
     x = rng.normal(size=disc.n_dofs)
     matrix, rhs = disc.newton_system(x, 0.5)
     assert np.abs(matrix @ x - disc.residual(x, 0.5) - rhs).max() < 1e-12
+
+
+def test_newton_matrix_symmetry():
+    verts, tris = meshes.random_planar_delaunay(30, seed=6)
+    check_newton_matrix_symmetry(SurfaceMesh(verts, tris), 4)
+
+
+@on_closed_surfaces
+def test_newton_matrix_symmetry_on_closed_surfaces(surface, order):
+    check_newton_matrix_symmetry(CLOSED_SURFACES[surface](), order)
+
+
+def test_newton_rhs_is_full_newton_step():
+    verts, tris = meshes.random_planar_delaunay(20, seed=9)
+    check_newton_rhs_is_full_newton_step(SurfaceMesh(verts, tris), 4)
+
+
+@on_closed_surfaces
+def test_newton_rhs_is_full_newton_step_on_closed_surfaces(surface, order):
+    check_newton_rhs_is_full_newton_step(CLOSED_SURFACES[surface](), order)
 
 
 # -- fixed-pattern assembly, bit for bit --------------------------------------
@@ -370,11 +398,8 @@ def test_energy_of_zero_field_is_area_over_4_eps2():
     assert energy.penalty == pytest.approx(1.0 / (4 * eps**2), rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gradient_matches_finite_differences(seed):
-    verts, tris = meshes.random_planar_delaunay(30, seed=100 + seed)
-    mesh = SurfaceMesh(verts, tris)
-    disc = Discretization(mesh, 4)
+def check_gradient_matches_finite_differences(mesh, order, seed):
+    disc = Discretization(mesh, order)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=disc.n_dofs) * 0.8
     eps = 0.4
@@ -387,6 +412,17 @@ def test_gradient_matches_finite_differences(seed):
         xm[dof] -= h
         fd = (disc.energy(xp, eps).total - disc.energy(xm, eps).total) / (2 * h)
         assert abs(fd - grad[dof]) <= 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gradient_matches_finite_differences(seed):
+    verts, tris = meshes.random_planar_delaunay(30, seed=100 + seed)
+    check_gradient_matches_finite_differences(SurfaceMesh(verts, tris), 4, seed)
+
+
+@on_closed_surfaces
+def test_gradient_matches_finite_differences_on_closed_surfaces(surface, order):
+    check_gradient_matches_finite_differences(CLOSED_SURFACES[surface](), order, 0)
 
 
 def test_energy_perturbation_matches_directional_derivative():
